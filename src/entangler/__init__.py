@@ -39,8 +39,6 @@ from .evolve import (
     evolve,
     fitness,
     length_sweep,
-    search_space_size,
-    simplify_circuit,
 )
 from .qsim import (
     Circuit,

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qsim import Circuit, GateSpec, StateVector
+from .qsim import MAX_QUBITS, Circuit, GateSpec, StateVector
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -38,19 +38,22 @@ def _cnot(control: int, target: int) -> GateSpec:
     return GateSpec("CNOT", (control, target))
 
 
+def _check_ghz_size(n: int) -> None:
+    if not 2 <= n <= MAX_QUBITS:
+        raise ValueError(f"GHZ qubit count must be in [2, {MAX_QUBITS}], got {n}")
+
+
 def ghz_circuit(n: int) -> Circuit:
     """n-gate preparation of the n-qubit GHZ state: H on the top qubit, then
     CNOTs fanning out from it, targets descending."""
-    if n < 2:
-        raise ValueError(f"GHZ circuits need at least 2 qubits, got n={n}")
+    _check_ghz_size(n)
     gates = [_h(n - 1)] + [_cnot(n - 1, m) for m in range(n - 2, -1, -1)]
     return Circuit(n, tuple(gates))
 
 
 def ghz_state(n: int) -> StateVector:
     """(|00...0> + |11...1>)/sqrt(2)."""
-    if n < 2:
-        raise ValueError(f"GHZ states need at least 2 qubits, got n={n}")
+    _check_ghz_size(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = _SQRT2_INV
     amps[-1] = _SQRT2_INV
@@ -182,6 +185,16 @@ EXPECTED_TOTALS = {
     "psi6b": 60.5,
 }
 
+# The state each evolved circuit prepares from |00...0>; the circuit's
+# expected total is that state's.
+CIRCUIT_OUTPUTS = {
+    "circuit_4a": "psi4a",
+    "circuit_4b": "psi4b",
+    "circuit_5a": "psi5a",
+    "circuit_5b": "psi5b",
+    "circuit_6a": "psi6a",
+}
+
 # Qubit relabelings found by brute force over all permutations matching
 # amplitudes up to a global phase: entry[i] is where qubit i moves.
 QUBIT_RELABELINGS = {
@@ -208,44 +221,44 @@ _SOURCES = {
 _GHZ_RE = re.compile(r"^(?:circuit_)?ghz(\d+)$")
 
 
-def named_circuit(name: str) -> Circuit:
-    """Look up a circuit by name: circuit_4a/4b/5a/5b/6a or circuit_ghz<n>."""
-    key = name.lower()
-    m = _GHZ_RE.match(key)
-    if m:
-        return ghz_circuit(int(m.group(1)))
-    if key in _CIRCUITS:
-        return _CIRCUITS[key]
-    raise KeyError(f"unknown circuit {name!r}; known: {sorted(_CIRCUITS)} or circuit_ghz<n>")
-
-
-def named_state(name: str) -> StateVector:
-    """Look up a state by name: hs4, bssb5, psi4a/4b/5a/5b/6a/6b or ghz<n>."""
-    key = name.lower()
-    m = _GHZ_RE.match(key)
-    if m:
-        return ghz_state(int(m.group(1)))
-    if key in _STATE_BUILDERS:
-        return _STATE_BUILDERS[key]()
-    raise KeyError(f"unknown state {name!r}; known: {sorted(_STATE_BUILDERS)} or ghz<n>")
-
-
 def lookup(name: str) -> NamedEntry:
-    """Resolve a catalog name to a circuit or state entry."""
+    """Resolve a catalog name to a circuit or state entry; the only name parser.
+
+    Circuits: circuit_4a/4b/5a/5b/6a and circuit_ghz<n>.  States: hs4, bssb5,
+    psi4a/4b/5a/5b/6a/6b and ghz<n>.  Names are case-insensitive.
+    """
     key = name.lower()
     m = _GHZ_RE.match(key)
     if m:
         n = int(m.group(1))
-        expected = (2 ** (n - 1) - 1) / 2.0
         if key.startswith("circuit_"):
-            return NamedEntry(key, "circuit", ghz_circuit(n), expected, f"GHZ preparation, {n} qubits")
-        return NamedEntry(key, "state", ghz_state(n), expected, f"GHZ state, {n} qubits")
+            kind, payload, source = "circuit", ghz_circuit(n), f"GHZ preparation, {n} qubits"
+        else:
+            kind, payload, source = "state", ghz_state(n), f"GHZ state, {n} qubits"
+        return NamedEntry(key, kind, payload, (2 ** (n - 1) - 1) / 2.0, source)
     if key in _CIRCUITS:
-        expected = EXPECTED_TOTALS.get("psi" + key.removeprefix("circuit_"))
+        expected = EXPECTED_TOTALS[CIRCUIT_OUTPUTS[key]]
         return NamedEntry(key, "circuit", _CIRCUITS[key], expected, _SOURCES[key])
     if key in _STATE_BUILDERS:
         return NamedEntry(key, "state", _STATE_BUILDERS[key](), EXPECTED_TOTALS.get(key), _SOURCES[key])
     raise KeyError(f"unknown catalog name {name!r}; try 'catalog list'")
+
+
+def _named(name: str, kind: str) -> Circuit | StateVector:
+    entry = lookup(name)
+    if entry.kind != kind:
+        raise KeyError(f"{name!r} names a {entry.kind}, not a {kind}")
+    return entry.payload
+
+
+def named_circuit(name: str) -> Circuit:
+    """The circuit a catalog name resolves to; KeyError for states."""
+    return _named(name, "circuit")
+
+
+def named_state(name: str) -> StateVector:
+    """The state a catalog name resolves to; KeyError for circuits."""
+    return _named(name, "state")
 
 
 def catalog_names() -> list[str]:

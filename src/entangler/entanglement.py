@@ -11,10 +11,16 @@ Two numerical paths compute a cut's contribution:
 
 * ``schmidt`` (default): for a pure state the contribution equals
   ((sum of singular values)^2 - 1) / 2 of the amplitude matrix reshaped
-  along the cut.  Cheap; this is what the search loop uses.
+  along the cut.  Cheap; this is what the search loop uses.  Every Schmidt
+  score, single cut or full report, reads one cached layout per qubit count
+  (``_cut_layouts``): the gather matrices of all cuts, about 4^(n+1) bytes.
 * ``eigen``: builds rho = |psi><psi|, partially transposes the cut's qubit
   indices and sums the negative eigenvalues.  Kept as the independent
   cross-check (CLI ``--validate``).
+
+Both paths refuse states of more than MAX_SCORED_QUBITS qubits before they
+allocate anything: 64 MiB of gather matrices or a 4096 x 4096 density
+matrix at n = 12, and four times as much per extra qubit.
 """
 from __future__ import annotations
 
@@ -24,17 +30,16 @@ from math import comb
 
 import numpy as np
 
-from .qsim import Circuit, StateVector, _apply_gate_inplace
+from .qsim import Circuit, StateVector, _apply_gate_inplace, zero_state
 
 # Eigenvalues above this (tiny, negative) threshold count as zero so that
 # solver noise cannot accumulate across dozens of cuts.
 NEGATIVE_EIGENVALUE_TOL = -1e-12
 
-# Cap on the eigenvalue path: the density matrix is 2^n x 2^n.
-_MAX_PT_DIM = 4096
+# Largest qubit count either path scores (see the module docstring).
+MAX_SCORED_QUBITS = 12
 
 _HERMITIAN_TOL = 1e-10
-_RECONSTRUCTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -125,14 +130,23 @@ def _scatter_bits(values: np.ndarray, positions: list[int]) -> np.ndarray:
     return out
 
 
+def _check_scored(n: int) -> None:
+    if n > MAX_SCORED_QUBITS:
+        raise ValueError(f"scoring is capped at {MAX_SCORED_QUBITS} qubits, got n={n}")
+
+
+# perfbench reads this cache's cache_info(), and wraps _total_negativity and
+# _apply_gate_inplace by name in this module and in evolve; keep all three.
 @lru_cache(maxsize=None)
 def _cut_layouts(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """Per canonical cut: (mask, smaller side, amplitude gather matrix).
+    """Per canonical cut, ascending by mask: (mask, smaller side, gather matrix).
 
     amps[gather] is the 2^|S| x 2^(n-|S|) matrix whose singular values give
-    the Schmidt coefficients across the cut.  Read-only after construction,
-    safe to share between threads and workers.
+    the Schmidt coefficients across the cut; the cut with mask m sits at
+    index m >> 1.  Read-only after construction, safe to share between
+    threads and workers.
     """
+    _check_scored(n)
     layouts = []
     for mask in range(1, (1 << n) - 1, 2):
         members = [q for q in range(n) if (mask >> q) & 1]
@@ -151,14 +165,6 @@ def _schmidt_negativity(amps: np.ndarray, gather: np.ndarray) -> float:
     return value if value > 0.0 else 0.0
 
 
-def _members_gather(n: int, members: frozenset[int]) -> np.ndarray:
-    inside = sorted(members)
-    outside = [q for q in range(n) if q not in members]
-    rows = _scatter_bits(np.arange(1 << len(inside)), inside)
-    cols = _scatter_bits(np.arange(1 << len(outside)), outside)
-    return rows[:, None] | cols[None, :]
-
-
 def _partial_transpose(amps: np.ndarray, n: int, members: frozenset[int]) -> np.ndarray:
     """rho^{T_S} for rho = |psi><psi|, transposing the members' indices."""
     rho = np.outer(amps, amps.conj())
@@ -171,34 +177,21 @@ def _partial_transpose(amps: np.ndarray, n: int, members: frozenset[int]) -> np.
     return tensor.transpose(perm).reshape(1 << n, 1 << n)
 
 
-def hermitian_eigenvalues(matrix: np.ndarray, validate: bool = False) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
-
-    validate=True additionally checks the reconstruction residual
-    max|A - V diag(w) V^dagger| against 1e-9.
-    """
+def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending."""
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if defect > _HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian: max|A - A^dagger| = {defect:.3e}")
-    if not validate:
-        return np.linalg.eigvalsh(a)
-    w, v = np.linalg.eigh(a)
-    residual = float(np.max(np.abs(a - (v * w) @ v.conj().T)))
-    if residual > _RECONSTRUCTION_TOL:
-        raise RuntimeError(f"eigendecomposition residual {residual:.3e} exceeds {_RECONSTRUCTION_TOL}")
-    return w
+    return np.linalg.eigvalsh(a)
 
 
 def partial_transpose_spectrum(state: StateVector, cut: Cut) -> np.ndarray:
     """Eigenvalues (ascending) of the partially transposed density matrix."""
     _check_cut(state, cut)
-    if (1 << state.n) > _MAX_PT_DIM:
-        raise ValueError(
-            f"partial-transpose path would need a {1 << state.n}-dimensional density matrix "
-            f"(cap {_MAX_PT_DIM}); use the schmidt path for larger systems")
+    _check_scored(state.n)
     return hermitian_eigenvalues(_partial_transpose(state.amplitudes, state.n, cut.members))
 
 
@@ -211,7 +204,7 @@ def cut_negativity(state: StateVector, cut: Cut, method: str = "schmidt") -> flo
     """This cut's contribution: minus the sum of negative transpose eigenvalues."""
     _check_cut(state, cut)
     if method == "schmidt":
-        return _schmidt_negativity(state.amplitudes, _members_gather(state.n, cut.members))
+        return _schmidt_negativity(state.amplitudes, _cut_layouts(state.n)[cut.mask >> 1][2])
     if method == "eigen":
         return _negative_part(partial_transpose_spectrum(state, cut))
     raise ValueError(f"unknown method {method!r}; expected 'schmidt' or 'eigen'")
@@ -223,7 +216,11 @@ def _check_cut(state: StateVector, cut: Cut) -> None:
 
 
 def _total_negativity(amps: np.ndarray, n: int) -> float:
-    """Fast scalar path used by the search loop and traces."""
+    """Fast scalar path used by the search loop and traces.
+
+    Sums left to right in mask order; np.sum or a compensated sum would move
+    the last bit, which decides GA ties and so the best genes found.
+    """
     total = 0.0
     for _mask, _k, gather in _cut_layouts(n):
         total += _schmidt_negativity(amps, gather)
@@ -234,10 +231,13 @@ def total_entanglement(state: StateVector, method: str = "schmidt") -> Entanglem
     """Summed negativity over all canonical cuts, with the per-cut breakdown."""
     if state.n < 2:
         raise ValueError(f"entanglement needs at least 2 qubits, got n={state.n}")
-    reports = [
-        CutReport(cut, cut_negativity(state, cut, method=method))
-        for cut in enumerate_cuts(state.n)
-    ]
+    _check_scored(state.n)
+    cuts = enumerate_cuts(state.n)
+    if method == "schmidt":
+        values = [_schmidt_negativity(state.amplitudes, gather) for _mask, _k, gather in _cut_layouts(state.n)]
+    else:
+        values = [cut_negativity(state, cut, method=method) for cut in cuts]
+    reports = [CutReport(cut, value) for cut, value in zip(cuts, values)]
     reports.sort(key=lambda r: (r.cut.smaller_side, r.cut.mask))
     return EntanglementReport(state.n, float(sum(r.contribution for r in reports)), tuple(reports))
 
@@ -260,14 +260,13 @@ def max_entanglement_bound(n: int) -> float:
 
 def entanglement_trace(circuit: Circuit, initial: StateVector | None = None) -> list[tuple[int, float]]:
     """Total score after each prefix of the circuit; entry 0 is the initial state."""
+    if circuit.n < 2:
+        raise ValueError(f"entanglement needs at least 2 qubits, got n={circuit.n}")
+    _check_scored(circuit.n)
     if initial is None:
-        from .qsim import zero_state
-
         initial = zero_state(circuit.n)
     if circuit.n != initial.n:
         raise ValueError(f"circuit is on {circuit.n} qubits but the state has {initial.n}")
-    if circuit.n < 2:
-        raise ValueError(f"entanglement needs at least 2 qubits, got n={circuit.n}")
     amps = initial.amplitudes.copy()
     trace = [(0, _total_negativity(amps, circuit.n))]
     for step, gate in enumerate(circuit.gates, start=1):

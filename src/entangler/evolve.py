@@ -19,15 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .entanglement import _total_negativity
-from .qsim import (
-    GATE_KINDS,
-    SELF_INVERSE_KINDS,
-    SINGLE_QUBIT_KINDS,
-    Circuit,
-    GateSpec,
-    _apply_gate_inplace,
-)
+from .entanglement import MAX_SCORED_QUBITS, _total_negativity
+from .qsim import GATE_KINDS, SINGLE_QUBIT_KINDS, Circuit, GateSpec, _apply_gate_inplace
 
 # A chromosome is any sequence of gene integers; arrays, lists and tuples all work.
 Chromosome = Sequence[int]
@@ -106,24 +99,6 @@ def fitness(genes: Chromosome, gate_set: GateSet) -> float:
     return _total_negativity(amps, gate_set.n)
 
 
-def search_space_size(gate_set: GateSet, length: int) -> int:
-    """Number of distinct chromosomes: table size to the power of the length."""
-    if length < 0:
-        raise ValueError(f"length must be nonnegative, got {length}")
-    return len(gate_set) ** length
-
-
-def simplify_circuit(circuit: Circuit) -> Circuit:
-    """Cancel adjacent identical self-inverse gates (never used during fitness)."""
-    kept: list[GateSpec] = []
-    for gate in circuit.gates:
-        if kept and kept[-1] == gate and gate.kind in SELF_INVERSE_KINDS:
-            kept.pop()
-        else:
-            kept.append(gate)
-    return Circuit(circuit.n, tuple(kept))
-
-
 @dataclass(frozen=True)
 class GAConfig:
     n: int
@@ -140,8 +115,8 @@ class GAConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(f.upper() for f in self.families))
-        if self.n < 2:
-            raise ValueError(f"need at least 2 qubits, got n={self.n}")
+        if not 2 <= self.n <= MAX_SCORED_QUBITS:
+            raise ValueError(f"need between 2 and {MAX_SCORED_QUBITS} qubits, got n={self.n}")
         if self.circuit_length < 1:
             raise ValueError(f"circuit length must be positive, got {self.circuit_length}")
         if self.population_size < 2:

@@ -22,9 +22,6 @@ SINGLE_QUBIT_KINDS = ("H", "X", "Y", "Z", "S", "T")
 TWO_QUBIT_KINDS = ("CNOT", "CZ")
 GATE_KINDS = SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS
 
-# Gates that square to the identity; used by circuit simplification.
-SELF_INVERSE_KINDS = ("H", "X", "Y", "Z", "CNOT", "CZ")
-
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 GATE_MATRICES = {
@@ -118,10 +115,10 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-def zero_state(n: int, *, max_qubits: int = MAX_QUBITS) -> StateVector:
+def zero_state(n: int) -> StateVector:
     """|00...0> on n qubits.  The hard cap guards against runaway memory."""
-    if not 1 <= n <= max_qubits:
-        raise ValueError(f"qubit count must be in [1, {max_qubits}], got {n}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
     return StateVector(n, amps)

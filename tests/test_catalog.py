@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from entangler.catalog import (
+    CIRCUIT_OUTPUTS,
     EXPECTED_TOTALS,
     QUBIT_RELABELINGS,
     catalog_entries,
@@ -43,14 +46,7 @@ def basis(bits: str) -> np.ndarray:
 # --- circuits reproduce their states -----------------------------------------
 
 
-@pytest.mark.parametrize("circuit_name,state_name", [
-    ("circuit_ghz3", "ghz3"),
-    ("circuit_4a", "psi4a"),
-    ("circuit_4b", "psi4b"),
-    ("circuit_5a", "psi5a"),
-    ("circuit_5b", "psi5b"),
-    ("circuit_6a", "psi6a"),
-])
+@pytest.mark.parametrize("circuit_name,state_name", [("circuit_ghz3", "ghz3"), *CIRCUIT_OUTPUTS.items()])
 def test_named_circuits_reproduce_named_states(circuit_name, state_name):
     circuit = named_circuit(circuit_name)
     produced = run_circuit(circuit, zero_state(circuit.n))
@@ -188,6 +184,22 @@ def test_unknown_names_raise_lookup_errors():
         named_state("psi9z")
     with pytest.raises(KeyError):
         lookup("nonsense")
+    # Circuit and state names do not stand in for each other.
+    with pytest.raises(KeyError):
+        named_circuit("ghz3")
+    with pytest.raises(KeyError):
+        named_state("circuit_ghz3")
+    # Oversized GHZ names fail before any amplitude is allocated; ghz17
+    # alone would take 2 MiB.
+    tracemalloc.start()
+    try:
+        for name in ("ghz17", "ghz40", "circuit_ghz40"):
+            with pytest.raises(ValueError, match="GHZ qubit count"):
+                lookup(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_lookup_covers_every_catalog_name():

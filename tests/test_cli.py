@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from entangler.cli import EX_BUDGET, EX_OK, EX_PARSE, EX_USAGE, main
+from entangler.cli import EX_BUDGET, EX_ERROR, EX_OK, EX_PARSE, EX_USAGE, main
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +67,9 @@ def test_evaluate_unknown_catalog_name(capsys):
     status, _, err = run_cli(capsys, "evaluate", "--catalog", "psi99")
     assert status == EX_USAGE
     assert "unknown catalog name" in err
+    status, _, err = run_cli(capsys, "evaluate", "--catalog", "ghz40")
+    assert status == EX_ERROR
+    assert err.startswith("entangler: error: GHZ qubit count")
 
 
 def test_evaluate_csv_per_cut_table(capsys):
@@ -101,6 +104,9 @@ def test_trace_empty_circuit(tmp_path, capsys):
     rows = read_csv(out)
     assert len(rows) == 2
     assert float(rows[1][2]) == 0.0
+    status, _, err = run_cli(capsys, "trace", "--circuit", str(path), "--qubits", "13")
+    assert status == EX_ERROR
+    assert "capped at 12 qubits" in err
 
 
 def test_trace_rejects_state_subjects(capsys):
@@ -177,6 +183,9 @@ def test_evolve_rejects_single_qubit(capsys):
     status, _, err = run_cli(capsys, "evolve", "--qubits", "1", "--length", "3")
     assert status == EX_USAGE
     assert "at least 2 qubits" in err
+    status, _, err = run_cli(capsys, "evolve", "--qubits", "13", "--length", "3")
+    assert status == EX_USAGE
+    assert "between 2 and 12 qubits" in err
 
 
 def test_evolve_csv_history(capsys):

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 from entangler.catalog import ghz_circuit, named_circuit, named_state
 from entangler.entanglement import (
     Cut,
-    _members_gather,
+    _cut_layouts,
     _schmidt_negativity,
+    _total_negativity,
     cut_negativity,
     entanglement_trace,
     enumerate_cuts,
@@ -98,8 +99,14 @@ def test_spectrum_sums_to_one():
 
 def test_partial_transpose_dimension_cap():
     state = zero_state(13)
+    cached = _cut_layouts.cache_info().currsize
     with pytest.raises(ValueError, match="cap"):
         partial_transpose_spectrum(state, Cut(frozenset({0}), 13))
+    with pytest.raises(ValueError, match="cap"):
+        total_entanglement(state)
+    with pytest.raises(ValueError, match="cap"):
+        entanglement_trace(Circuit(13, ()))
+    assert _cut_layouts.cache_info().currsize == cached
 
 
 # --- negativity ----------------------------------------------------------------
@@ -132,10 +139,23 @@ def test_unknown_method_rejected():
 @settings(max_examples=40)
 def test_negativity_is_complement_invariant(seed, n):
     state = random_state(n, np.random.default_rng(seed))
-    for cut in enumerate_cuts(n):
-        direct = _schmidt_negativity(state.amplitudes, _members_gather(n, cut.members))
-        flipped = _schmidt_negativity(state.amplitudes, _members_gather(n, cut.complement))
+    for _mask, _k, gather in _cut_layouts(n):
+        direct = _schmidt_negativity(state.amplitudes, gather)
+        flipped = _schmidt_negativity(state.amplitudes, gather.T)
         assert abs(direct - flipped) < 1e-10
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
+@settings(max_examples=30)
+def test_every_schmidt_score_reads_the_same_cut_layout(seed, n):
+    state = random_state(n, np.random.default_rng(seed))
+    report = total_entanglement(state)
+    for cut_report in report.per_cut:
+        assert cut_report.contribution == cut_negativity(state, cut_report.cut)
+    total = 0.0
+    for cut_report in sorted(report.per_cut, key=lambda r: r.cut.mask):
+        total += cut_report.contribution
+    assert _total_negativity(state.amplitudes, n) == total
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
@@ -287,9 +307,3 @@ def test_eigenvalues_reject_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-
-def test_eigenvalues_validation_mode():
-    rng = np.random.default_rng(23)
-    raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    matrix = (raw + raw.conj().T) / 2
-    assert np.allclose(hermitian_eigenvalues(matrix, validate=True), hermitian_eigenvalues(matrix))

@@ -16,8 +16,6 @@ from entangler.evolve import (
     evolve,
     fitness,
     length_sweep,
-    search_space_size,
-    simplify_circuit,
     sweep_seed,
 )
 from entangler.qsim import Circuit, GateSpec, run_circuit, zero_state
@@ -129,32 +127,6 @@ def test_fitness_is_pure():
     assert fitness(genes, gs) == fitness(genes, gs)
 
 
-def test_search_space_size_six_qubits_length_ten():
-    gs = build_gate_set(6, ("H", "CNOT"))
-    size = search_space_size(gs, 10)
-    assert size == 36**10
-    assert abs(size / 3.66e15 - 1) < 0.01
-
-
-# --- simplification -------------------------------------------------------------
-
-
-def test_adjacent_self_inverse_gates_cancel():
-    circuit = Circuit(3, (GateSpec("H", (0,)), GateSpec("H", (0,)), GateSpec("CNOT", (1, 0))))
-    assert simplify_circuit(circuit) == Circuit(3, (GateSpec("CNOT", (1, 0)),))
-
-
-def test_nested_cancellation_collapses_fully():
-    h0, cnot = GateSpec("H", (0,)), GateSpec("CNOT", (0, 1))
-    assert simplify_circuit(Circuit(2, (h0, cnot, cnot, h0))) == Circuit(2, ())
-
-
-def test_t_gates_do_not_cancel():
-    t0 = GateSpec("T", (0,))
-    circuit = Circuit(2, (t0, t0))
-    assert simplify_circuit(circuit) == circuit
-
-
 # --- config validation ------------------------------------------------------------
 
 
@@ -168,6 +140,7 @@ def test_t_gates_do_not_cancel():
     dict(n=3, circuit_length=3, per_gene_mutation_rate=-0.1),
     dict(n=3, circuit_length=3, tournament_size=0),
     dict(n=3, circuit_length=3, max_generations=-1),
+    dict(n=13, circuit_length=3),
 ])
 def test_invalid_configs_are_rejected(kwargs):
     with pytest.raises(ValueError):
