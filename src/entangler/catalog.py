@@ -38,9 +38,13 @@ def _cnot(control: int, target: int) -> GateSpec:
     return GateSpec("CNOT", (control, target))
 
 
+def _ghz_size_error(got: object) -> ValueError:
+    return ValueError(f"GHZ qubit count must be in [2, {MAX_QUBITS}], got {got}")
+
+
 def _check_ghz_size(n: int) -> None:
     if not 2 <= n <= MAX_QUBITS:
-        raise ValueError(f"GHZ qubit count must be in [2, {MAX_QUBITS}], got {n}")
+        raise _ghz_size_error(n)
 
 
 def ghz_circuit(n: int) -> Circuit:
@@ -218,7 +222,7 @@ _SOURCES = {
     "psi6b": "H(0) applied to psi6a, 16 nonzero coefficients",
 }
 
-_GHZ_RE = re.compile(r"^(?:circuit_)?ghz(\d+)$")
+_GHZ_RE = re.compile(r"^(?:circuit_)?ghz0*(\d+)$")
 
 
 def lookup(name: str) -> NamedEntry:
@@ -230,7 +234,11 @@ def lookup(name: str) -> NamedEntry:
     key = name.lower()
     m = _GHZ_RE.match(key)
     if m:
-        n = int(m.group(1))
+        digits = m.group(1)
+        if len(digits) > 9:
+            # Out of range for sure, and int() refuses more than 4300 digits.
+            raise _ghz_size_error(f"a {len(digits)}-digit number")
+        n = int(digits)
         if key.startswith("circuit_"):
             kind, payload, source = "circuit", ghz_circuit(n), f"GHZ preparation, {n} qubits"
         else:

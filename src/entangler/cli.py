@@ -19,7 +19,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .catalog import catalog_entries, lookup
+from .catalog import NamedEntry, catalog_entries, lookup
 from .entanglement import MAX_SCORED_QUBITS, entanglement_trace, max_entanglement_bound, total_entanglement
 from .evolve import GAConfig, evolve, length_sweep
 from .qsim import (
@@ -43,6 +43,22 @@ SEED_ENV_VAR = "ENTANGLER_SEED"
 
 _VALIDATE_TOL = 1e-10
 
+# Every GA option once, dest -> (type, GAConfig field, help).  The table makes
+# both the evolve/sweep flags and the keys a --config file may set.
+_GA_OPTIONS = {
+    "qubits": (int, "n", f"number of qubits, 2 to {MAX_SCORED_QUBITS}"),
+    "gates": (str, "families", "comma-separated gate families, default H,CNOT"),
+    "pop": (int, "population_size", "population size"),
+    "gens": (int, "max_generations", "generation budget"),
+    "seed": (int, "rng_seed", f"RNG seed; falls back to ${SEED_ENV_VAR}, then 0"),
+    "mutation_rate": (float, "per_gene_mutation_rate", "per-gene mutation rate, default 1/length"),
+    "crossover_rate": (float, "crossover_rate", None),
+    "tournament": (int, "tournament_size", "tournament size"),
+    "elite": (int, "elite_count", "elites carried over unchanged"),
+    "length": (int, "circuit_length", "circuit length (chromosome length)"),
+    "target": (str, "target_fitness", "early-stop fitness, a number or 'max'"),
+}
+
 
 class _UsageError(Exception):
     pass
@@ -55,27 +71,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
 def _round_floats(obj):
     if isinstance(obj, float):
-        return _sig12(obj)
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -83,17 +85,43 @@ def _round_floats(obj):
     return obj
 
 
-def _json_dump(record: dict) -> str:
-    return json.dumps(_round_floats(record), indent=2)
+def _emit(args, record: dict | None, header: list[str] | None, rows, text: str | None = None) -> None:
+    """Write one result in its --format to --out or stdout, the same bytes
+    either way.  Commands without --format write the text when given, else CSV."""
+    fmt = getattr(args, "format", "csv" if text is None else "text")
+    if fmt == "json":
+        body = json.dumps(_round_floats(record), indent=2)
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{v:.12g}" if isinstance(v, float) else v for v in row] for row in rows)
+        body = buf.getvalue()
+    else:
+        body = text
+    if not body.endswith("\n"):
+        body += "\n"
+    if args.out is None or args.out == "-":
+        sys.stdout.write(body)
+    else:
+        with open(args.out, "w") as fh:
+            fh.write(body)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.12g}" if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+def _as_dicts(header: list[str], rows) -> list[dict]:
+    """The JSON form of CSV rows: one object per row, keyed by the header."""
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _amplitude_rows(state: StateVector) -> list[list]:
+    return [[k, format(k, f"0{state.n}b"), float(a.real), float(a.imag)] for k, a in enumerate(state.amplitudes)]
+
+
+def _catalog_entry(name: str) -> NamedEntry:
+    try:
+        return lookup(name)
+    except KeyError as exc:
+        raise _UsageError(str(exc.args[0])) from None
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -130,92 +158,51 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_KEYS = {
-    "qubits": int,
-    "gates": str,
-    "length": int,
-    "pop": int,
-    "gens": int,
-    "seed": int,
-    "target": str,
-    "mutation_rate": float,
-    "crossover_rate": float,
-    "tournament": int,
-    "elite": int,
-}
-
-
-def _merged_option(args, key: str, file_values: dict):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        caster = _CONFIG_KEYS[key]
-        try:
-            return caster(file_values[key])
-        except ValueError:
-            raise _UsageError(f"config key {key} has bad value {file_values[key]!r}") from None
-    return None
-
-
-def _build_ga_config(args) -> tuple[GAConfig, float | None]:
+def _build_ga_config(args) -> GAConfig:
+    """GAConfig from the _GA_OPTIONS flags, each falling back to the --config file."""
     file_values = _read_config_file(args.config) if args.config else {}
-    unknown = set(file_values).difference(_CONFIG_KEYS)
+    unknown = set(file_values).difference(_GA_OPTIONS)
     if unknown:
-        raise _UsageError(f"unknown config keys {sorted(unknown)}; expected {sorted(_CONFIG_KEYS)}")
+        raise _UsageError(f"unknown config keys {sorted(unknown)}; expected {sorted(_GA_OPTIONS)}")
+    fields = {}
+    for key, (kind, field, _help) in _GA_OPTIONS.items():
+        value = getattr(args, key)
+        if value is None and key in file_values:
+            try:
+                value = kind(file_values[key])
+            except ValueError:
+                raise _UsageError(f"config key {key} has bad value {file_values[key]!r}") from None
+        fields[field] = value
 
-    def get(key):
-        return _merged_option(args, key, file_values)
-
-    qubits = get("qubits")
-    length = get("length")
-    if qubits is None or length is None:
+    n = fields["n"]
+    if n is None or fields["circuit_length"] is None:
         raise _UsageError("--qubits and --length are required (by flag or config file)")
-    if qubits < 2:
-        raise _UsageError(f"entanglement needs at least 2 qubits, got {qubits}")
-    gates = get("gates") or "H,CNOT"
-    families = _parse_families(gates) if isinstance(gates, str) else gates
-    seed = _resolve_seed(get("seed"))
-
-    target_text = get("target")
-    target = None
-    if target_text is not None:
-        if str(target_text).lower() == "max":
-            target = max_entanglement_bound(qubits)
+    if n < 2:
+        raise _UsageError(f"entanglement needs at least 2 qubits, got {n}")
+    fields["families"] = _parse_families(fields["families"] or "H,CNOT")
+    fields["rng_seed"] = _resolve_seed(fields["rng_seed"])
+    target = fields["target_fitness"]
+    if target is not None:
+        if target.lower() == "max":
+            fields["target_fitness"] = max_entanglement_bound(n)
         else:
             try:
-                target = float(target_text)
+                fields["target_fitness"] = float(target)
             except ValueError:
-                raise _UsageError(f"--target must be a number or 'max', got {target_text!r}") from None
-
-    kwargs = {}
-    for key, field in [("pop", "population_size"), ("gens", "max_generations"),
-                       ("mutation_rate", "per_gene_mutation_rate"),
-                       ("crossover_rate", "crossover_rate"),
-                       ("tournament", "tournament_size"), ("elite", "elite_count")]:
-        value = get(key)
-        if value is not None:
-            kwargs[field] = value
+                raise _UsageError(f"--target must be a number or 'max', got {target!r}") from None
     try:
-        config = GAConfig(n=qubits, circuit_length=length, families=families,
-                          target_fitness=target, rng_seed=seed, **kwargs)
+        return GAConfig(**{field: v for field, v in fields.items() if v is not None})
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return config, target
-
-
-def _per_cut_rows(report) -> list[list]:
-    return [[r.cut.mask, r.cut.smaller_side, r.contribution] for r in report.per_cut]
 
 
 def cmd_evolve(args) -> int:
-    config, target = _build_ga_config(args)
+    config = _build_ga_config(args)
     started = _utc_now()
     result = evolve(config, workers=args.workers)
     finished = _utc_now()
 
     final_state = run_circuit(result.best_circuit, zero_state(config.n))
-    report = total_entanglement(final_state)
     record = {
         "command": "evolve",
         "version": __version__,
@@ -226,18 +213,14 @@ def cmd_evolve(args) -> int:
         "workers": args.workers,
         "result": {
             **result.to_dict(),
-            "per_cut": report.to_dict()["per_cut"],
+            "per_cut": total_entanglement(final_state).to_dict()["per_cut"],
             "nonzero_coefficients": nonzero_coefficient_count(final_state),
         },
     }
-    if args.format == "json":
-        _write_output(_json_dump(record), args.out)
-    else:
-        rows = [[g, b, m] for g, (b, m) in enumerate(zip(result.best_history, result.mean_history))]
-        _write_output(_csv_text(["generation", "best", "mean"], rows), args.out)
-    if target is None:
-        return EX_OK
-    return EX_OK if result.reached(target) else EX_BUDGET
+    rows = [[g, b, m] for g, (b, m) in enumerate(zip(result.best_history, result.mean_history))]
+    _emit(args, record, ["generation", "best", "mean"], rows)
+    target = config.target_fitness
+    return EX_OK if target is None or result.reached(target) else EX_BUDGET
 
 
 def _load_subject(args) -> tuple[str, Circuit | None, StateVector]:
@@ -245,10 +228,7 @@ def _load_subject(args) -> tuple[str, Circuit | None, StateVector]:
     if (args.circuit is None) == (args.catalog is None):
         raise _UsageError("pass exactly one of --circuit or --catalog")
     if args.catalog is not None:
-        try:
-            entry = lookup(args.catalog)
-        except KeyError as exc:
-            raise _UsageError(str(exc.args[0])) from None
+        entry = _catalog_entry(args.catalog)
         if entry.kind == "circuit":
             circuit = entry.payload
             return entry.name, circuit, run_circuit(circuit, zero_state(circuit.n))
@@ -280,39 +260,29 @@ def _validated_report(state: StateVector):
 def cmd_evaluate(args) -> int:
     label, circuit, state = _load_subject(args)
     report = _validated_report(state) if args.validate else total_entanglement(state)
-    nonzeros = nonzero_coefficient_count(state)
-    if args.format == "json":
-        record = {
-            "command": "evaluate",
-            "version": __version__,
-            "subject": label,
-            "circuit": None if circuit is None else format_circuit(circuit),
-            **report.to_dict(),
-            "nonzero_coefficients": nonzeros,
-        }
-        if args.state:
-            record["amplitudes"] = [
-                [k, format(k, f"0{state.n}b"), float(a.real), float(a.imag)]
-                for k, a in enumerate(state.amplitudes)
-            ]
-        _write_output(_json_dump(record), args.out)
-    elif args.format == "csv":
-        _write_output(_csv_text(["cut_mask", "size", "contribution"], _per_cut_rows(report)), args.out)
-    else:
-        lines = [f"subject: {label}"]
-        if circuit is not None:
-            lines.append(f"circuit: {format_circuit(circuit)}")
-        lines.append(f"total entanglement: {report.total:.12g}")
-        lines.append(f"nonzero coefficients: {nonzeros}")
-        lines.append("per-cut contributions (mask size value):")
-        for row in _per_cut_rows(report):
-            lines.append(f"  {row[0]:>4d}  {row[1]}  {row[2]:.12g}")
-        if args.state:
-            lines.append("amplitudes (index bitstring real imag):")
-            for k, a in enumerate(state.amplitudes):
-                if abs(a) > 1e-12:
-                    lines.append(f"  {k:>4d}  {format(k, f'0{state.n}b')}  {a.real:+.12g}  {a.imag:+.12g}")
-        _write_output("\n".join(lines), args.out)
+    circuit_text = None if circuit is None else format_circuit(circuit)
+    record = {
+        "command": "evaluate",
+        "version": __version__,
+        "subject": label,
+        "circuit": circuit_text,
+        **report.to_dict(),
+        "nonzero_coefficients": nonzero_coefficient_count(state),
+    }
+    rows = [list(cut.values()) for cut in record["per_cut"]]
+    lines = [f"subject: {label}"]
+    if circuit_text is not None:
+        lines.append(f"circuit: {circuit_text}")
+    lines.append(f"total entanglement: {report.total:.12g}")
+    lines.append(f"nonzero coefficients: {record['nonzero_coefficients']}")
+    lines.append("per-cut contributions (mask size value):")
+    lines += [f"  {mask:>4d}  {size}  {value:.12g}" for mask, size, value in rows]
+    if args.state:
+        record["amplitudes"] = _amplitude_rows(state)
+        lines.append("amplitudes (index bitstring real imag):")
+        lines += [f"  {k:>4d}  {bits}  {re:+.12g}  {im:+.12g}"
+                  for k, bits, re, im in record["amplitudes"] if abs(complex(re, im)) > 1e-12]
+    _emit(args, record, ["cut_mask", "size", "contribution"], rows, "\n".join(lines))
     return EX_OK
 
 
@@ -320,54 +290,38 @@ def cmd_trace(args) -> int:
     label, circuit, _state = _load_subject(args)
     if circuit is None:
         raise _UsageError(f"{label} is a state; trace needs a circuit")
-    steps = entanglement_trace(circuit)
-    rows = []
-    for step, value in steps:
-        gate = "" if step == 0 else str(circuit.gates[step - 1])
-        rows.append([step, gate, value])
-    if args.format == "json":
-        record = {
-            "command": "trace",
-            "version": __version__,
-            "subject": label,
-            "circuit": format_circuit(circuit),
-            "steps": [{"step": s, "gate": g, "total": v} for s, g, v in rows],
-        }
-        _write_output(_json_dump(record), args.out)
-    else:
-        _write_output(_csv_text(["step", "gate", "total"], rows), args.out)
+    header = ["step", "gate", "total"]
+    rows = [[step, "" if step == 0 else str(circuit.gates[step - 1]), value]
+            for step, value in entanglement_trace(circuit)]
+    record = {
+        "command": "trace",
+        "version": __version__,
+        "subject": label,
+        "circuit": format_circuit(circuit),
+        "steps": _as_dicts(header, rows),
+    }
+    _emit(args, record, header, rows)
     return EX_OK
 
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
-        rows = []
-        for entry in catalog_entries():
-            payload = entry.payload
-            n = payload.n
-            size = len(payload.gates) if isinstance(payload, Circuit) else ""
-            expected = "" if entry.expected_total is None else f"{entry.expected_total:.12g}"
-            rows.append([entry.name, entry.kind, n, size, expected, entry.source])
-        _write_output(_csv_text(["name", "kind", "qubits", "gates", "expected_total", "source"], rows), args.out)
+        rows = [[entry.name, entry.kind, entry.payload.n,
+                 len(entry.payload.gates) if entry.kind == "circuit" else "",
+                 "" if entry.expected_total is None else entry.expected_total, entry.source]
+                for entry in catalog_entries()]
+        _emit(args, None, ["name", "kind", "qubits", "gates", "expected_total", "source"], rows)
         return EX_OK
-    try:
-        entry = lookup(args.name)
-    except KeyError as exc:
-        raise _UsageError(str(exc.args[0])) from None
+    entry = _catalog_entry(args.name)
     if entry.kind == "circuit":
-        _write_output(format_circuit(entry.payload, paper_order=args.paper_order), args.out)
+        _emit(args, None, None, None, format_circuit(entry.payload, paper_order=args.paper_order))
     else:
-        state = entry.payload
-        rows = [
-            [k, format(k, f"0{state.n}b"), float(a.real), float(a.imag)]
-            for k, a in enumerate(state.amplitudes)
-        ]
-        _write_output(_csv_text(["index", "bitstring", "real", "imag"], rows), args.out)
+        _emit(args, None, ["index", "bitstring", "real", "imag"], _amplitude_rows(entry.payload))
     return EX_OK
 
 
 def cmd_sweep(args) -> int:
-    config, _target = _build_ga_config(args)
+    config = _build_ga_config(args)
     try:
         lengths = [int(v) for v in args.lengths.split(",") if v.strip()]
     except ValueError:
@@ -375,35 +329,32 @@ def cmd_sweep(args) -> int:
     if not lengths:
         raise _UsageError("--lengths is empty")
     started = _utc_now()
-    results = length_sweep(config, lengths, workers=args.workers)
+    rows = length_sweep(config, lengths, workers=args.workers)
     finished = _utc_now()
-    if args.format == "json":
-        record = {
-            "command": "sweep",
-            "version": __version__,
-            "started": started,
-            "finished": finished,
-            "config": config.to_dict(),
-            "lengths": lengths,
-            "results": [{"length": length, "best_fitness": best} for length, best in results],
-        }
-        _write_output(_json_dump(record), args.out)
-    else:
-        _write_output(_csv_text(["length", "best_fitness"], [[length, best] for length, best in results]), args.out)
+    header = ["length", "best_fitness"]
+    record = {
+        "command": "sweep",
+        "version": __version__,
+        "started": started,
+        "finished": finished,
+        "config": config.to_dict(),
+        "lengths": lengths,
+        "results": _as_dicts(header, rows),
+    }
+    _emit(args, record, header, rows)
     return EX_OK
 
 
+def _add_ga_flag(parser: argparse.ArgumentParser, dest: str, help: str | None = None) -> None:
+    kind, _field, table_help = _GA_OPTIONS[dest]
+    parser.add_argument("--" + dest.replace("_", "-"), type=kind, help=help or table_help)
+
+
 def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--qubits", type=int, help=f"number of qubits, 2 to {MAX_SCORED_QUBITS}")
-    parser.add_argument("--gates", help="comma-separated gate families, default H,CNOT")
-    parser.add_argument("--pop", type=int, help="population size")
-    parser.add_argument("--gens", type=int, help="generation budget")
-    parser.add_argument("--seed", type=int, help=f"RNG seed; falls back to ${SEED_ENV_VAR}, then 0")
-    parser.add_argument("--mutation-rate", dest="mutation_rate", type=float,
-                        help="per-gene mutation rate, default 1/length")
-    parser.add_argument("--crossover-rate", dest="crossover_rate", type=float)
-    parser.add_argument("--tournament", type=int, help="tournament size")
-    parser.add_argument("--elite", type=int, help="elites carried over unchanged")
+    """The shared GA flags; evolve and sweep add --length and --target after --out."""
+    for dest in _GA_OPTIONS:
+        if dest not in ("length", "target"):
+            _add_ga_flag(parser, dest)
     parser.add_argument("--workers", type=int, default=1,
                         help="parallel fitness workers; does not change results")
     parser.add_argument("--config", help="flat key=value config file; flags win on conflict")
@@ -417,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evolve", help="run the genetic search")
     _add_ga_flags(p)
-    p.add_argument("--length", type=int, help="circuit length (chromosome length)")
-    p.add_argument("--target", help="early-stop fitness, a number or 'max'")
+    _add_ga_flag(p, "length")
+    _add_ga_flag(p, "target")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(func=cmd_evolve)
 
@@ -456,20 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="best fitness per circuit length")
     _add_ga_flags(p)
     p.add_argument("--lengths", required=True, help="comma-separated circuit lengths")
-    p.add_argument("--target", help="early-stop fitness per length, a number or 'max'")
+    _add_ga_flag(p, "target", "early-stop fitness per length, a number or 'max'")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep, length=1)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"entangler: usage error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"entangler: usage error: {exc}", file=sys.stderr)

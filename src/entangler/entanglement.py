@@ -237,9 +237,14 @@ def total_entanglement(state: StateVector, method: str = "schmidt") -> Entanglem
         values = [_schmidt_negativity(state.amplitudes, gather) for _mask, _k, gather in _cut_layouts(state.n)]
     else:
         values = [cut_negativity(state, cut, method=method) for cut in cuts]
-    reports = [CutReport(cut, value) for cut, value in zip(cuts, values)]
-    reports.sort(key=lambda r: (r.cut.smaller_side, r.cut.mask))
-    return EntanglementReport(state.n, float(sum(r.contribution for r in reports)), tuple(reports))
+    # Left to right in mask order, as _total_negativity sums, so that the total
+    # equals fitness() bit for bit.
+    total = 0.0
+    for value in values:
+        total += value
+    reports = sorted((CutReport(cut, value) for cut, value in zip(cuts, values)),
+                     key=lambda r: (r.cut.smaller_side, r.cut.mask))
+    return EntanglementReport(state.n, total, tuple(reports))
 
 
 def max_entanglement_bound(n: int) -> float:

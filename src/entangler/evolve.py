@@ -19,13 +19,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .entanglement import MAX_SCORED_QUBITS, _total_negativity
-from .qsim import GATE_KINDS, SINGLE_QUBIT_KINDS, Circuit, GateSpec, _apply_gate_inplace
+from .entanglement import MAX_SCORED_QUBITS, _check_scored, _total_negativity
+from .qsim import GATE_KINDS, SINGLE_QUBIT_KINDS, Circuit, GateSpec, _apply_gate_inplace, format_circuit
 
 # A chromosome is any sequence of gene integers; arrays, lists and tuples all work.
 Chromosome = Sequence[int]
 
 TARGET_SLACK = 1e-9
+
+
+def _reached(best: float, target: float | None) -> bool:
+    """True once best is within TARGET_SLACK of a target; never without one."""
+    return target is not None and best >= target - TARGET_SLACK
 
 
 @dataclass(frozen=True)
@@ -43,9 +48,11 @@ class GateSet:
 def build_gate_set(n: int, families: Sequence[str]) -> GateSet:
     """Deterministic gate table: families in canonical kind order; within a
     single-qubit family qubits ascend; within a two-qubit family ordered
-    pairs (i, j) run in lexicographic order."""
+    pairs (i, j) run in lexicographic order.  Capped like scoring, since the
+    circuits it encodes are only ever scored."""
     if n < 2:
         raise ValueError(f"gate sets need at least 2 qubits, got n={n}")
+    _check_scored(n)
     wanted = {f.upper() for f in families}
     if not wanted:
         raise ValueError("at least one gate family is required")
@@ -172,11 +179,9 @@ class EvolutionResult:
         return len(self.best_history) - 1
 
     def reached(self, target: float) -> bool:
-        return self.best_fitness >= target - TARGET_SLACK
+        return _reached(self.best_fitness, target)
 
     def to_dict(self) -> dict:
-        from .qsim import format_circuit
-
         return {
             "best_genes": list(self.best_genes),
             "best_circuit": format_circuit(self.best_circuit),
@@ -275,11 +280,8 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
         best_genes = population[best_index].copy()
         best_fitness = float(fits[best_index])
 
-        def done() -> bool:
-            return config.target_fitness is not None and best_fitness >= config.target_fitness - TARGET_SLACK
-
         for _ in range(config.max_generations):
-            if done():
+            if _reached(best_fitness, config.target_fitness):
                 break
             population = _breed(population, fits, config, len(gate_set), rng)
             fits = _evaluate(population, gate_set, pool, workers)

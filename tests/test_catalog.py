@@ -193,7 +193,8 @@ def test_unknown_names_raise_lookup_errors():
     # alone would take 2 MiB.
     tracemalloc.start()
     try:
-        for name in ("ghz17", "ghz40", "circuit_ghz40"):
+        # A name past int()'s 4300-digit limit gets the same range error.
+        for name in ("ghz17", "ghz40", "circuit_ghz40", "ghz" + "9" * 5000):
             with pytest.raises(ValueError, match="GHZ qubit count"):
                 lookup(name)
         peak = tracemalloc.get_traced_memory()[1]

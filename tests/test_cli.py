@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import re
+
+import pytest
 
 from entangler.cli import EX_BUDGET, EX_ERROR, EX_OK, EX_PARSE, EX_USAGE, main
 
@@ -70,6 +73,11 @@ def test_evaluate_unknown_catalog_name(capsys):
     status, _, err = run_cli(capsys, "evaluate", "--catalog", "ghz40")
     assert status == EX_ERROR
     assert err.startswith("entangler: error: GHZ qubit count")
+    # Past int()'s 4300-digit limit: the same range error, without the digits.
+    status, _, err = run_cli(capsys, "evaluate", "--catalog", "ghz" + "9" * 5000)
+    assert status == EX_ERROR
+    assert err.startswith("entangler: error: GHZ qubit count must be in [2, 16]")
+    assert len(err) < 200
 
 
 def test_evaluate_csv_per_cut_table(capsys):
@@ -226,6 +234,54 @@ def test_evolve_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(overridden)["config"]["rng_seed"] == 10
 
 
+ALL_KEYS_FILE = """\
+qubits = 3
+gates = H,CNOT,T
+length = 4
+target = max
+pop = 20
+gens = 6
+seed = 5
+mutation_rate = 0.3
+crossover_rate = 0.8
+tournament = 3
+elite = 2
+"""
+ALL_KEYS_FLAGS = ["--qubits", "3", "--gates", "H,CNOT,T", "--length", "4", "--target", "max",
+                  "--pop", "20", "--gens", "6", "--seed", "5", "--mutation-rate", "0.3",
+                  "--crossover-rate", "0.8", "--tournament", "3", "--elite", "2"]
+
+
+def test_config_file_sets_every_key(tmp_path, capsys):
+    config = tmp_path / "all.cfg"
+    config.write_text(ALL_KEYS_FILE)
+    status, from_file, _ = run_cli(capsys, "evolve", "--config", str(config))
+    assert status in (EX_OK, EX_BUDGET)
+    _, from_flags, _ = run_cli(capsys, "evolve", *ALL_KEYS_FLAGS)
+    file_record, flag_record = json.loads(from_file), json.loads(from_flags)
+    assert file_record["config"] == flag_record["config"]
+    assert file_record["config"] == {
+        "n": 3, "circuit_length": 4, "families": ["H", "CNOT", "T"], "population_size": 20,
+        "max_generations": 6, "crossover_rate": 0.8, "per_gene_mutation_rate": 0.3,
+        "tournament_size": 3, "elite_count": 2, "target_fitness": 1.5, "rng_seed": 5}
+    assert file_record["result"] == flag_record["result"]
+
+
+def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("qubits = 3\nlength = 4\npopulation = 20\n")
+    status, _, err = run_cli(capsys, "evolve", "--config", str(config))
+    assert status == EX_USAGE
+    assert "unknown config keys ['population']" in err
+    config.write_text("qubits = 3\nlength = 4\ngens = 2\npop = many\n")
+    status, _, err = run_cli(capsys, "evolve", "--config", str(config))
+    assert status == EX_USAGE
+    assert "config key pop has bad value 'many'" in err
+    # A flag that overrides the bad value leaves it unread.
+    status, _, _ = run_cli(capsys, "evolve", "--config", str(config), "--pop", "10")
+    assert status == EX_OK
+
+
 def test_evolve_writes_output_file(tmp_path, capsys):
     out_path = tmp_path / "record.json"
     status, _, _ = run_cli(capsys, "evolve", "--qubits", "3", "--length", "3",
@@ -258,3 +314,34 @@ def test_sweep_reports_per_length_bests(capsys):
 def test_sweep_rejects_bad_lengths(capsys):
     status, _, err = run_cli(capsys, "sweep", "--qubits", "3", "--lengths", "a,b")
     assert status == EX_USAGE
+
+
+# --- output files --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--qubits", "3", "--length", "3", "--gens", "2"],
+    ["evolve", "--qubits", "3", "--length", "3", "--gens", "2", "--format", "csv"],
+    ["evaluate", "--catalog", "psi4a"],
+    ["evaluate", "--catalog", "ghz3", "--state", "--format", "json"],
+    ["evaluate", "--catalog", "circuit_4a", "--format", "csv"],
+    ["trace", "--catalog", "circuit_ghz3"],
+    ["trace", "--catalog", "circuit_ghz3", "--format", "json"],
+    ["catalog", "list"],
+    ["catalog", "show", "circuit_5a"],
+    ["catalog", "show", "psi4a"],
+    ["sweep", "--qubits", "3", "--lengths", "1,2", "--gens", "2"],
+    ["sweep", "--qubits", "3", "--lengths", "1,2", "--gens", "2", "--format", "json"],
+], ids=" ".join)
+def test_out_file_holds_exactly_what_stdout_shows(argv, tmp_path, capsys):
+    path = tmp_path / "out"
+    _, stdout, _ = run_cli(capsys, *argv)
+    _, nothing, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert nothing == ""
+    written = path.read_text()
+    assert written.endswith("\n")
+
+    def untimed(text):
+        return re.sub(r'"(started|finished)": "[^"]*"', "", text)
+
+    assert untimed(written) == untimed(stdout)

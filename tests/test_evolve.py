@@ -61,6 +61,10 @@ def test_gate_set_rejects_bad_input():
         build_gate_set(4, ("H", "TOFFOLI"))
     with pytest.raises(ValueError):
         build_gate_set(1, ("H",))
+    # Capped like scoring, before any table entry or amplitude exists.
+    for n in (13, 30):
+        with pytest.raises(ValueError, match="capped at 12 qubits"):
+            build_gate_set(n, ("H", "CNOT"))
 
 
 # --- encoding ------------------------------------------------------------------
@@ -119,6 +123,16 @@ def test_fitness_equals_public_pipeline():
     genes = rng.integers(0, len(gs), size=7)
     via_pipeline = total_entanglement(run_circuit(decode(genes, gs), zero_state(4))).total
     assert abs(fitness(genes, gs) - via_pipeline) < 1e-12
+
+
+@given(data=st.data(), n=st.integers(2, 6))
+@settings(max_examples=100)
+def test_fitness_equals_report_total_bit_for_bit(data, n):
+    # Both sum the same cut values left to right in mask order.
+    gs = build_gate_set(n, ("H", "X", "Y", "Z", "S", "T", "CNOT", "CZ"))
+    genes = data.draw(st.lists(st.integers(0, len(gs) - 1), max_size=3 * n))
+    state = run_circuit(decode(genes, gs), zero_state(n))
+    assert total_entanglement(state).total == fitness(genes, gs)
 
 
 def test_fitness_is_pure():
