@@ -13,7 +13,10 @@ Two numerical paths compute a cut's contribution:
   ((sum of singular values)^2 - 1) / 2 of the amplitude matrix reshaped
   along the cut.  Cheap; this is what the search loop uses.  Every Schmidt
   score, single cut or full report, reads one cached layout per qubit count
-  (``_cut_layouts``): the gather matrices of all cuts, about 4^(n+1) bytes.
+  (``_cut_layouts``): the gather matrices of all cuts, about 4^(n+1) bytes,
+  grouped by member count m.  Scoring a state makes one stacked SVD call per
+  group, n - 1 calls in all, whose temporary holds C(n-1, m-1) * 2^n complex
+  amplitudes (at most 462 * 4096 of them, 29 MiB, at n = 12).
 * ``eigen``: builds rho = |psi><psi|, partially transposes the cut's qubit
   indices and sums the negative eigenvalues.  Kept as the independent
   cross-check (CLI ``--validate``).
@@ -135,34 +138,56 @@ def _check_scored(n: int) -> None:
         raise ValueError(f"scoring is capped at {MAX_SCORED_QUBITS} qubits, got n={n}")
 
 
-# perfbench reads this cache's cache_info(), and wraps _total_negativity and
-# _apply_gate_inplace by name in this module and in evolve; keep all three.
+# perfbench reads this cache's cache_info() and sums its gathers' nbytes, and
+# wraps _total_negativity and _apply_gate_inplace by name in this module and
+# in evolve; keep all three.
 @lru_cache(maxsize=None)
-def _cut_layouts(n: int) -> tuple[tuple[int, int, np.ndarray], ...]:
-    """Per canonical cut, ascending by mask: (mask, smaller side, gather matrix).
+def _cut_layouts(n: int) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
+    """Per member count m = 1..n-1: (m, cut masks ascending, gathers).
 
-    amps[gather] is the 2^|S| x 2^(n-|S|) matrix whose singular values give
-    the Schmidt coefficients across the cut; the cut with mask m sits at
-    index m >> 1.  Read-only after construction, safe to share between
-    threads and workers.
+    gathers has shape (C(n-1, m-1), 2^m, 2^(n-m)); amps[gathers[i]] is the
+    matrix whose singular values give the Schmidt coefficients across the
+    cut masks[i], members indexing rows.  Group m sits at index m - 1.
+    Read-only after construction, safe to share between threads and workers.
     """
     _check_scored(n)
     layouts = []
-    for mask in range(1, (1 << n) - 1, 2):
-        members = [q for q in range(n) if (mask >> q) & 1]
-        rest = [q for q in range(n) if not (mask >> q) & 1]
-        rows = _scatter_bits(np.arange(1 << len(members)), members)
-        cols = _scatter_bits(np.arange(1 << len(rest)), rest)
-        gather = rows[:, None] | cols[None, :]
-        gather.flags.writeable = False
-        layouts.append((mask, min(len(members), len(rest)), gather))
+    for m in range(1, n):
+        masks = tuple(mask for mask in range(1, (1 << n) - 1, 2) if mask.bit_count() == m)
+        gathers = np.empty((len(masks), 1 << m, 1 << (n - m)), dtype=np.intp)
+        for gather, mask in zip(gathers, masks):
+            members = [q for q in range(n) if (mask >> q) & 1]
+            rest = [q for q in range(n) if not (mask >> q) & 1]
+            rows = _scatter_bits(np.arange(1 << m), members)
+            cols = _scatter_bits(np.arange(1 << (n - m)), rest)
+            np.bitwise_or(rows[:, None], cols[None, :], out=gather)
+        gathers.flags.writeable = False
+        layouts.append((m, masks, gathers))
     return tuple(layouts)
 
 
-def _schmidt_negativity(amps: np.ndarray, gather: np.ndarray) -> float:
-    sigma = np.linalg.svd(amps[gather], compute_uv=False)
-    value = float(sigma.sum() ** 2 - 1.0) / 2.0
-    return value if value > 0.0 else 0.0
+def _stack_negativities(amps: np.ndarray, gathers: np.ndarray) -> list[float]:
+    """Contribution of each cut in a stack of gather matrices, in stack order.
+
+    One SVD call for the whole stack.  The square is taken on Python floats:
+    that is libm pow, as on a float64 scalar, where numpy's array power may
+    round the last bit differently.
+    """
+    sums = np.linalg.svd(amps[gathers], compute_uv=False).sum(axis=-1)
+    values = []
+    for s in sums.tolist():
+        value = (s ** 2 - 1.0) / 2.0
+        values.append(value if value > 0.0 else 0.0)
+    return values
+
+
+def _cut_negativities(amps: np.ndarray, n: int) -> list[float]:
+    """Every canonical cut's contribution, ascending by mask (mask m at m >> 1)."""
+    values = [0.0] * ((1 << (n - 1)) - 1)
+    for _m, masks, gathers in _cut_layouts(n):
+        for mask, value in zip(masks, _stack_negativities(amps, gathers)):
+            values[mask >> 1] = value
+    return values
 
 
 def _partial_transpose(amps: np.ndarray, n: int, members: frozenset[int]) -> np.ndarray:
@@ -204,7 +229,9 @@ def cut_negativity(state: StateVector, cut: Cut, method: str = "schmidt") -> flo
     """This cut's contribution: minus the sum of negative transpose eigenvalues."""
     _check_cut(state, cut)
     if method == "schmidt":
-        return _schmidt_negativity(state.amplitudes, _cut_layouts(state.n)[cut.mask >> 1][2])
+        _m, masks, gathers = _cut_layouts(state.n)[len(cut.members) - 1]
+        i = masks.index(cut.mask)
+        return _stack_negativities(state.amplitudes, gathers[i:i + 1])[0]
     if method == "eigen":
         return _negative_part(partial_transpose_spectrum(state, cut))
     raise ValueError(f"unknown method {method!r}; expected 'schmidt' or 'eigen'")
@@ -222,8 +249,8 @@ def _total_negativity(amps: np.ndarray, n: int) -> float:
     the last bit, which decides GA ties and so the best genes found.
     """
     total = 0.0
-    for _mask, _k, gather in _cut_layouts(n):
-        total += _schmidt_negativity(amps, gather)
+    for value in _cut_negativities(amps, n):
+        total += value
     return total
 
 
@@ -234,7 +261,7 @@ def total_entanglement(state: StateVector, method: str = "schmidt") -> Entanglem
     _check_scored(state.n)
     cuts = enumerate_cuts(state.n)
     if method == "schmidt":
-        values = [_schmidt_negativity(state.amplitudes, gather) for _mask, _k, gather in _cut_layouts(state.n)]
+        values = _cut_negativities(state.amplitudes, state.n)
     else:
         values = [cut_negativity(state, cut, method=method) for cut in cuts]
     # Left to right in mask order, as _total_negativity sums, so that the total

@@ -27,6 +27,11 @@ Chromosome = Sequence[int]
 
 TARGET_SLACK = 1e-9
 
+# Largest population_size * circuit_length a GAConfig accepts, checked before
+# anything is allocated: one generation's gene array is then at most 8 MB,
+# and its per-child arrays stay within tens of MB.
+MAX_POPULATION_GENES = 10**6
+
 
 def _reached(best: float, target: float | None) -> bool:
     """True once best is within TARGET_SLACK of a target; never without one."""
@@ -128,6 +133,9 @@ class GAConfig:
             raise ValueError(f"circuit length must be positive, got {self.circuit_length}")
         if self.population_size < 2:
             raise ValueError(f"population must have at least 2 individuals, got {self.population_size}")
+        if self.population_size * self.circuit_length > MAX_POPULATION_GENES:
+            raise ValueError(f"population size times circuit length must be at most {MAX_POPULATION_GENES}, "
+                             f"got {self.population_size} * {self.circuit_length}")
         if not 1 <= self.elite_count < self.population_size:
             raise ValueError(f"elite count must be in [1, population), got {self.elite_count}")
         if self.tournament_size < 1:

@@ -125,29 +125,36 @@ def zero_state(n: int) -> StateVector:
 
 
 def _apply_gate_inplace(amps: np.ndarray, gate: GateSpec, n: int) -> None:
-    """Apply one gate to a writable amplitude array, via bit-mask strides.
+    """Apply one gate to a writable, contiguous amplitude array, in place.
 
-    No 2^n x 2^n matrix is ever materialized; the full-matrix construction
-    exists only as a test oracle.
+    Works on reshaped views of amps: a single-qubit gate on q mixes the two
+    halves of amps.reshape(2^(n-q-1), 2, 2^q); a two-qubit gate on qubits
+    hi > lo sees amps.reshape(2^(n-hi-1), 2, 2^(hi-lo-1), 2, 2^lo), where
+    CNOT swaps the target halves of the control = 1 slice and CZ negates
+    the 11 slice.  No index array and no 2^n x 2^n matrix is built; the
+    full-matrix construction exists only as a test oracle.
     """
-    base = np.arange(amps.size)
-    if gate.kind == "CNOT":
-        control, target = gate.args
-        sel = base[(base & (1 << control)) != 0]
-        amps[sel] = amps[sel ^ (1 << target)]
-    elif gate.kind == "CZ":
+    if gate.kind in TWO_QUBIT_KINDS:
         a, b = gate.args
-        both = ((base & (1 << a)) != 0) & ((base & (1 << b)) != 0)
-        amps[both] *= -1.0
-    else:
-        u = GATE_MATRICES[gate.kind]
-        mask = 1 << gate.args[0]
-        i0 = base[(base & mask) == 0]
-        i1 = i0 | mask
-        a0 = amps[i0]
-        a1 = amps[i1]
-        amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
-        amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
+        hi, lo = max(a, b), min(a, b)
+        view = amps.reshape(1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        both = view[:, 1, :, 1]
+        if gate.kind == "CZ":
+            both *= -1.0
+        else:
+            # CNOT(a, b): a is the control; swap target 0 and 1 where it is set.
+            target_clear = view[:, 1, :, 0] if a > b else view[:, 0, :, 1]
+            saved = target_clear.copy()
+            target_clear[...] = both
+            both[...] = saved
+        return
+    u = GATE_MATRICES[gate.kind]
+    q = gate.args[0]
+    view = amps.reshape(1 << (n - q - 1), 2, 1 << q)
+    a0, a1 = view[:, 0], view[:, 1]
+    new0 = u[0, 0] * a0 + u[0, 1] * a1
+    a1[...] = u[1, 0] * a0 + u[1, 1] * a1
+    a0[...] = new0
 
 
 def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
@@ -211,7 +218,12 @@ class CircuitParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-_TOKEN_RE = re.compile(r"([A-Za-z]+)\s*\(\s*(\d+)\s*(?:,\s*(\d+)\s*)?\)")
+# Leading zeros of a qubit label are skipped, so "H(007)" reads qubit 7.
+_TOKEN_RE = re.compile(r"([A-Za-z]+)\s*\(\s*0*(\d+)\s*(?:,\s*0*(\d+)\s*)?\)")
+
+# A longer label is out of range for any circuit, and int() refuses more
+# than 4300 digits.
+_MAX_LABEL_DIGITS = 9
 
 
 def _line_col(text: str, pos: int) -> tuple[int, int]:
@@ -248,7 +260,12 @@ def parse_circuit(text: str, n: int | None = None) -> Circuit:
             raise CircuitParseError(f"malformed gate token {snippet!r}", *_line_col(text, pos))
         kind = m.group(1).upper()
         token = m.group(0)
-        args = tuple(int(g) for g in m.groups()[1:] if g is not None)
+        labels = [i for i in (2, 3) if m.group(i) is not None]
+        for i in labels:
+            if len(m.group(i)) > _MAX_LABEL_DIGITS:
+                raise CircuitParseError(f"qubit label of {len(m.group(i))} digits is out of range",
+                                        *_line_col(text, m.start(i)))
+        args = tuple(int(m.group(i)) for i in labels)
         try:
             gate = GateSpec(kind, args)
         except ValueError as exc:

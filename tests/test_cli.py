@@ -58,6 +58,10 @@ def test_evaluate_parse_error_gives_65_with_position(tmp_path, capsys):
     assert status == EX_PARSE
     assert "CNOT(1)" in err
     assert "line 1" in err
+    path.write_text("H(" + "9" * 5000 + ")\n")
+    status, _, err = run_cli(capsys, "evaluate", "--circuit", str(path))
+    assert status == EX_PARSE
+    assert "line 1, column 3: qubit label of 5000 digits" in err
 
 
 def test_evaluate_requires_exactly_one_source(capsys):
@@ -194,6 +198,10 @@ def test_evolve_rejects_single_qubit(capsys):
     status, _, err = run_cli(capsys, "evolve", "--qubits", "13", "--length", "3")
     assert status == EX_USAGE
     assert "between 2 and 12 qubits" in err
+    for flags in (("--length", "3", "--pop", "3000000000"), ("--length", str(10**12))):
+        status, _, err = run_cli(capsys, "evolve", "--qubits", "3", "--gens", "0", *flags)
+        assert status == EX_USAGE
+        assert "must be at most 1000000" in err
 
 
 def test_evolve_csv_history(capsys):

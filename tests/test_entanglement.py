@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entangler.catalog import ghz_circuit, named_circuit, named_state
 from entangler.entanglement import (
     Cut,
     _cut_layouts,
-    _schmidt_negativity,
+    _cut_negativities,
+    _stack_negativities,
     _total_negativity,
     cut_negativity,
     entanglement_trace,
@@ -139,10 +140,11 @@ def test_unknown_method_rejected():
 @settings(max_examples=40)
 def test_negativity_is_complement_invariant(seed, n):
     state = random_state(n, np.random.default_rng(seed))
-    for _mask, _k, gather in _cut_layouts(n):
-        direct = _schmidt_negativity(state.amplitudes, gather)
-        flipped = _schmidt_negativity(state.amplitudes, gather.T)
-        assert abs(direct - flipped) < 1e-10
+    for _m, _masks, gathers in _cut_layouts(n):
+        direct_values = _stack_negativities(state.amplitudes, gathers)
+        flipped_values = _stack_negativities(state.amplitudes, gathers.transpose(0, 2, 1))
+        for direct, flipped in zip(direct_values, flipped_values, strict=True):
+            assert abs(direct - flipped) < 1e-10
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
@@ -156,6 +158,39 @@ def test_every_schmidt_score_reads_the_same_cut_layout(seed, n):
     for cut_report in sorted(report.per_cut, key=lambda r: r.cut.mask):
         total += cut_report.contribution
     assert _total_negativity(state.amplitudes, n) == total
+
+
+def _per_cut_reference(amps: np.ndarray, n: int) -> list[float]:
+    """One SVD per cut of the cut matrix made by transposing the (2,)*n tensor."""
+    tensor = amps.reshape((2,) * n)
+    values = []
+    for mask in range(1, (1 << n) - 1, 2):
+        members = [q for q in range(n) if (mask >> q) & 1]
+        rest = [q for q in range(n) if not (mask >> q) & 1]
+        axes = [n - 1 - q for q in reversed(members)] + [n - 1 - q for q in reversed(rest)]
+        matrix = tensor.transpose(axes).reshape(1 << len(members), 1 << len(rest))
+        sigma = np.linalg.svd(matrix, compute_uv=False)
+        value = float(sigma.sum() ** 2 - 1.0) / 2.0
+        values.append(value if value > 0.0 else 0.0)
+    return values
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), split=st.booleans())
+@example(seed=11, n=11, split=False)
+@example(seed=12, n=12, split=True)
+@settings(max_examples=40)
+def test_stacked_scores_equal_per_cut_svds_bit_for_bit(seed, n, split):
+    rng = np.random.default_rng(seed)
+    if split:  # qubit 0 unentangled: the cut {0} scores about 0, on either side of the clamp
+        amps = np.kron(random_state(n - 1, rng).amplitudes, [1.0, 0.0])
+    else:
+        amps = random_state(n, rng).amplitudes
+    reference = _per_cut_reference(amps, n)
+    assert _cut_negativities(amps, n) == reference
+    total = 0.0
+    for value in reference:
+        total += value
+    assert _total_negativity(amps, n) == total
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))

@@ -155,6 +155,9 @@ def test_fitness_is_pure():
     dict(n=3, circuit_length=3, tournament_size=0),
     dict(n=3, circuit_length=3, max_generations=-1),
     dict(n=13, circuit_length=3),
+    dict(n=3, circuit_length=3, population_size=3_000_000_000),
+    dict(n=3, circuit_length=10**12),
+    dict(n=3, circuit_length=1001, population_size=1000),
 ])
 def test_invalid_configs_are_rejected(kwargs):
     with pytest.raises(ValueError):

@@ -4,11 +4,13 @@ from hypothesis import given, strategies as st
 
 from entangler.qsim import (
     GATE_KINDS,
+    GATE_MATRICES,
     SINGLE_QUBIT_KINDS,
     Circuit,
     CircuitParseError,
     GateSpec,
     StateVector,
+    _apply_gate_inplace,
     allclose_up_to_phase,
     apply_gate,
     format_circuit,
@@ -178,6 +180,46 @@ def test_run_circuit_matches_full_matrix_oracle(seed, n, size):
     assert np.allclose(fast, direct, atol=1e-10)
 
 
+def _index_array_kernel(amps: np.ndarray, gate: GateSpec) -> None:
+    """The bit-mask index kernel that the reshaped-view kernel replaced."""
+    base = np.arange(amps.size)
+    if gate.kind == "CNOT":
+        control, target = gate.args
+        sel = base[(base & (1 << control)) != 0]
+        amps[sel] = amps[sel ^ (1 << target)]
+    elif gate.kind == "CZ":
+        a, b = gate.args
+        both = ((base & (1 << a)) != 0) & ((base & (1 << b)) != 0)
+        amps[both] *= -1.0
+    else:
+        u = GATE_MATRICES[gate.kind]
+        mask = 1 << gate.args[0]
+        i0 = base[(base & mask) == 0]
+        i1 = i0 | mask
+        a0 = amps[i0]
+        a1 = amps[i1]
+        amps[i0] = u[0, 0] * a0 + u[0, 1] * a1
+        amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_gate_kernel_equals_the_index_array_kernel_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    state = random_state(n, rng).amplitudes.copy()
+    # Signed zeros in both parts, so that any change to the arithmetic shows.
+    zeros = rng.permutation(state.size)[: state.size // 2]
+    state.real[zeros[::2]] = np.copysign(0.0, rng.standard_normal(zeros[::2].size))
+    state.imag[zeros[1::2]] = np.copysign(0.0, rng.standard_normal(zeros[1::2].size))
+    placements = [GateSpec(kind, (q,)) for kind in SINGLE_QUBIT_KINDS for q in range(n)]
+    placements += [GateSpec(kind, (a, b)) for kind in ("CNOT", "CZ")
+                   for a in range(n) for b in range(n) if a != b]
+    for gate in placements:
+        fast, reference = state.copy(), state.copy()
+        _apply_gate_inplace(fast, gate, n)
+        _index_array_kernel(reference, gate)
+        assert fast.tobytes() == reference.tobytes(), gate
+
+
 def test_nonzero_counts():
     assert nonzero_coefficient_count(named_state("psi6a")) == 32
     assert nonzero_coefficient_count(named_state("psi6b")) == 16
@@ -239,6 +281,13 @@ def test_parse_error_on_missing_separator():
 def test_parse_error_on_out_of_range_label():
     with pytest.raises(CircuitParseError, match="references qubit 5"):
         parse_circuit("H(5)", n=3)
+
+
+def test_parse_error_on_over_long_label():
+    with pytest.raises(CircuitParseError, match="5000 digits") as err:
+        parse_circuit("H(0);\nCNOT(1, " + "9" * 5000 + ")")
+    assert (err.value.line, err.value.column) == (2, 9)
+    assert parse_circuit("H(007); CNOT(" + "0" * 5000 + "1,0)").gates == (GateSpec("H", (7,)), GateSpec("CNOT", (1, 0)))
 
 
 @pytest.mark.parametrize("name", [
