@@ -1,9 +1,9 @@
 """Reference circuits and states with known entanglement, used as ground truth.
 
-Circuits are stored in application order (first gate first).  States are
-spelled out amplitude by amplitude; binary literals mirror the ket labels,
-e.g. 0b1100 is |1100>.  Expected totals let tests and the CLI check every
-entry end to end.
+Each entry is one row.  Circuits are ``.qc`` text in application order
+(first gate first), parsed on lookup.  States are spelled out amplitude by
+amplitude; binary literals mirror the ket labels, e.g. 0b1100 is |1100>.
+Expected totals let tests and the CLI check every entry end to end.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qsim import MAX_QUBITS, Circuit, GateSpec, StateVector
+from .qsim import MAX_QUBITS, Circuit, GateSpec, StateVector, parse_circuit
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -30,14 +30,6 @@ class NamedEntry:
     source: str
 
 
-def _h(q: int) -> GateSpec:
-    return GateSpec("H", (q,))
-
-
-def _cnot(control: int, target: int) -> GateSpec:
-    return GateSpec("CNOT", (control, target))
-
-
 def _ghz_size_error(got: object) -> ValueError:
     return ValueError(f"GHZ qubit count must be in [2, {MAX_QUBITS}], got {got}")
 
@@ -51,7 +43,7 @@ def ghz_circuit(n: int) -> Circuit:
     """n-gate preparation of the n-qubit GHZ state: H on the top qubit, then
     CNOTs fanning out from it, targets descending."""
     _check_ghz_size(n)
-    gates = [_h(n - 1)] + [_cnot(n - 1, m) for m in range(n - 2, -1, -1)]
+    gates = [GateSpec("H", (n - 1,))] + [GateSpec("CNOT", (n - 1, m)) for m in range(n - 2, -1, -1)]
     return Circuit(n, tuple(gates))
 
 
@@ -64,139 +56,67 @@ def ghz_state(n: int) -> StateVector:
     return StateVector(n, amps)
 
 
-_CIRCUITS: dict[str, Circuit] = {
-    "circuit_4a": Circuit(4, (
-        _h(2), _cnot(2, 1), _h(3), _cnot(3, 0), _cnot(3, 1),
-    )),
-    "circuit_4b": Circuit(4, (
-        _h(1), _cnot(1, 0), _h(3), _cnot(3, 2), _cnot(3, 0),
-    )),
-    "circuit_5a": Circuit(5, (
-        _h(2), _cnot(2, 1), _h(4), _cnot(4, 3), _h(4),
-        _cnot(1, 0), _cnot(4, 1), _cnot(3, 2),
-    )),
-    "circuit_5b": Circuit(5, (
-        _h(0), _cnot(0, 3), _h(4), _cnot(4, 1), _h(4),
-        _cnot(3, 2), _cnot(4, 3), _cnot(1, 0),
-    )),
-    "circuit_6a": Circuit(6, (
-        _h(1), _cnot(1, 0), _h(3), _cnot(3, 2), _h(5), _cnot(5, 4),
-        _cnot(3, 0), _cnot(5, 2), _h(4), _cnot(4, 3), _h(1),
-        _cnot(4, 1), _cnot(2, 1),
-    )),
+# Circuits: name -> (.qc text, output state, source).  A circuit's qubit count
+# and expected total are its output state's.
+_CIRCUITS = {
+    "circuit_4a": ("H(2); CNOT(2,1); H(3); CNOT(3,0); CNOT(3,1)",
+                   "psi4a", "evolved 5-gate circuit, 4 qubits"),
+    "circuit_4b": ("H(1); CNOT(1,0); H(3); CNOT(3,2); CNOT(3,0)",
+                   "psi4b", "qubit-relabelled variant of circuit_4a"),
+    "circuit_5a": ("H(2); CNOT(2,1); H(4); CNOT(4,3); H(4); CNOT(1,0); CNOT(4,1); CNOT(3,2)",
+                   "psi5a", "evolved 8-gate circuit, 5 qubits"),
+    "circuit_5b": ("H(0); CNOT(0,3); H(4); CNOT(4,1); H(4); CNOT(3,2); CNOT(4,3); CNOT(1,0)",
+                   "psi5b", "qubit-relabelled variant of circuit_5a"),
+    "circuit_6a": ("H(1); CNOT(1,0); H(3); CNOT(3,2); H(5); CNOT(5,4); CNOT(3,0); CNOT(5,2); "
+                   "H(4); CNOT(4,3); H(1); CNOT(4,1); CNOT(2,1)",
+                   "psi6a", "evolved 13-gate circuit, 6 qubits"),
 }
 
+_C6 = 1.0 / np.sqrt(6.0)
+_C8 = 1.0 / np.sqrt(8.0)
+_C32 = 1.0 / np.sqrt(32.0)
 
-def _state_from_terms(n: int, terms: list[tuple[int, complex]]) -> StateVector:
-    amps = np.zeros(1 << n, dtype=complex)
-    for index, coefficient in terms:
-        amps[index] = coefficient
-    return StateVector(n, amps)
-
-
-def _hs4() -> StateVector:
-    c = 1.0 / np.sqrt(6.0)
-    return _state_from_terms(4, [
-        (0b1100, c), (0b0011, c),
-        (0b1001, c * OMEGA), (0b0110, c * OMEGA),
-        (0b1010, c * OMEGA**2), (0b0101, c * OMEGA**2),
-    ])
-
-
-def _psi4a() -> StateVector:
-    return _state_from_terms(4, [(k, 0.5) for k in (0b0000, 0b0110, 0b1011, 0b1101)])
-
-
-def _psi4b() -> StateVector:
-    return _state_from_terms(4, [(k, 0.5) for k in (0b0000, 0b0011, 0b1101, 0b1110)])
-
-
-def _psi5a() -> StateVector:
-    c = 1.0 / np.sqrt(8.0)
-    return _state_from_terms(5, [
-        (0b00000, c), (0b00111, c), (0b01011, c), (0b01100, c),
-        (0b10010, c), (0b10101, c), (0b11001, -c), (0b11110, -c),
-    ])
-
-
-def _psi5b() -> StateVector:
-    c = 1.0 / np.sqrt(8.0)
-    return _state_from_terms(5, [
-        (0b00000, c), (0b00011, c),
-        (0b01101, c), (0b01110, c),
-        (0b10101, c), (0b10110, -c),
-        (0b11000, c), (0b11011, -c),
-    ])
-
-
-def _bssb5() -> StateVector:
-    c = 1.0 / np.sqrt(8.0)
-    return _state_from_terms(5, [
-        (0b00101, c), (0b00110, -c),
-        (0b01000, c), (0b01011, -c),
-        (0b10001, c), (0b10010, c),
-        (0b11100, c), (0b11111, c),
-    ])
-
-
-def _psi6a() -> StateVector:
-    c = 1.0 / np.sqrt(32.0)
-    signs = [
-        (0b000000, +1), (0b000001, +1), (0b000010, +1), (0b000011, -1),
-        (0b001100, -1), (0b001101, +1), (0b001110, +1), (0b001111, +1),
-        (0b010100, +1), (0b010101, +1), (0b010110, -1), (0b010111, +1),
-        (0b011000, +1), (0b011001, -1), (0b011010, +1), (0b011011, +1),
-        (0b100100, +1), (0b100101, -1), (0b100110, +1), (0b100111, +1),
-        (0b101000, +1), (0b101001, +1), (0b101010, -1), (0b101011, +1),
-        (0b110000, +1), (0b110001, -1), (0b110010, -1), (0b110011, -1),
-        (0b111100, -1), (0b111101, -1), (0b111110, -1), (0b111111, +1),
-    ]
-    return _state_from_terms(6, [(k, s * c) for k, s in signs])
-
-
-def _psi6b() -> StateVector:
-    c = 0.25
-    return _state_from_terms(6, [
-        (0b000000, c), (0b000011, c), (0b111100, -c), (0b111111, -c),
-        (0b001101, -c), (0b001110, c), (0b110001, c), (0b110010, -c),
-        (0b010100, c), (0b010111, -c), (0b101000, c), (0b101011, -c),
-        (0b011001, c), (0b011010, c), (0b100101, c), (0b100110, c),
-    ])
-
-
-_STATE_BUILDERS = {
-    "hs4": _hs4,
-    "bssb5": _bssb5,
-    "psi4a": _psi4a,
-    "psi4b": _psi4b,
-    "psi5a": _psi5a,
-    "psi5b": _psi5b,
-    "psi6a": _psi6a,
-    "psi6b": _psi6b,
-}
-
-# Known totals of the summed-negativity score.  hs4 is exactly
+# States: name -> (qubits, (basis index, amplitude) terms, expected total of
+# the summed-negativity score, source).  hs4's total is exactly
 # 3.5 + 1.5*sqrt(3) = 6.09807621..., quoted here to 5 significant digits.
-EXPECTED_TOTALS = {
-    "ghz3": 1.5,
-    "hs4": 6.0981,
-    "psi4a": 5.5,
-    "psi4b": 5.5,
-    "bssb5": 17.5,
-    "psi5a": 17.5,
-    "psi5b": 17.5,
-    "psi6a": 60.5,
-    "psi6b": 60.5,
-}
-
-# The state each evolved circuit prepares from |00...0>; the circuit's
-# expected total is that state's.
-CIRCUIT_OUTPUTS = {
-    "circuit_4a": "psi4a",
-    "circuit_4b": "psi4b",
-    "circuit_5a": "psi5a",
-    "circuit_5b": "psi5b",
-    "circuit_6a": "psi6a",
+_STATES = {
+    "hs4": (4, (
+        (0b1100, _C6), (0b0011, _C6),
+        (0b1001, _C6 * OMEGA), (0b0110, _C6 * OMEGA),
+        (0b1010, _C6 * OMEGA**2), (0b0101, _C6 * OMEGA**2),
+    ), 6.0981, "Higuchi-Sudbery highly entangled 4-qubit state"),
+    "bssb5": (5, (
+        (0b00101, _C8), (0b00110, -_C8), (0b01000, _C8), (0b01011, -_C8),
+        (0b10001, _C8), (0b10010, _C8), (0b11100, _C8), (0b11111, _C8),
+    ), 17.5, "Brown et al. maximally entangled 5-qubit state, Bell-basis form"),
+    "psi4a": (4, ((0b0000, 0.5), (0b0110, 0.5), (0b1011, 0.5), (0b1101, 0.5)),
+              5.5, "output of circuit_4a"),
+    "psi4b": (4, ((0b0000, 0.5), (0b0011, 0.5), (0b1101, 0.5), (0b1110, 0.5)),
+              5.5, "output of circuit_4b"),
+    "psi5a": (5, (
+        (0b00000, _C8), (0b00111, _C8), (0b01011, _C8), (0b01100, _C8),
+        (0b10010, _C8), (0b10101, _C8), (0b11001, -_C8), (0b11110, -_C8),
+    ), 17.5, "output of circuit_5a"),
+    "psi5b": (5, (
+        (0b00000, _C8), (0b00011, _C8), (0b01101, _C8), (0b01110, _C8),
+        (0b10101, _C8), (0b10110, -_C8), (0b11000, _C8), (0b11011, -_C8),
+    ), 17.5, "output of circuit_5b"),
+    "psi6a": (6, (
+        (0b000000, _C32), (0b000001, _C32), (0b000010, _C32), (0b000011, -_C32),
+        (0b001100, -_C32), (0b001101, _C32), (0b001110, _C32), (0b001111, _C32),
+        (0b010100, _C32), (0b010101, _C32), (0b010110, -_C32), (0b010111, _C32),
+        (0b011000, _C32), (0b011001, -_C32), (0b011010, _C32), (0b011011, _C32),
+        (0b100100, _C32), (0b100101, -_C32), (0b100110, _C32), (0b100111, _C32),
+        (0b101000, _C32), (0b101001, _C32), (0b101010, -_C32), (0b101011, _C32),
+        (0b110000, _C32), (0b110001, -_C32), (0b110010, -_C32), (0b110011, -_C32),
+        (0b111100, -_C32), (0b111101, -_C32), (0b111110, -_C32), (0b111111, _C32),
+    ), 60.5, "output of circuit_6a, 32 nonzero coefficients"),
+    "psi6b": (6, (
+        (0b000000, 0.25), (0b000011, 0.25), (0b111100, -0.25), (0b111111, -0.25),
+        (0b001101, -0.25), (0b001110, 0.25), (0b110001, 0.25), (0b110010, -0.25),
+        (0b010100, 0.25), (0b010111, -0.25), (0b101000, 0.25), (0b101011, -0.25),
+        (0b011001, 0.25), (0b011010, 0.25), (0b100101, 0.25), (0b100110, 0.25),
+    ), 60.5, "H(0) applied to psi6a, 16 nonzero coefficients"),
 }
 
 # Qubit relabelings found by brute force over all permutations matching
@@ -204,22 +124,6 @@ CIRCUIT_OUTPUTS = {
 QUBIT_RELABELINGS = {
     ("psi4a", "psi4b"): (2, 0, 1, 3),
     ("psi5a", "psi5b"): (2, 0, 3, 4, 1),
-}
-
-_SOURCES = {
-    "circuit_4a": "evolved 5-gate circuit, 4 qubits",
-    "circuit_4b": "qubit-relabelled variant of circuit_4a",
-    "circuit_5a": "evolved 8-gate circuit, 5 qubits",
-    "circuit_5b": "qubit-relabelled variant of circuit_5a",
-    "circuit_6a": "evolved 13-gate circuit, 6 qubits",
-    "hs4": "Higuchi-Sudbery highly entangled 4-qubit state",
-    "bssb5": "Brown et al. maximally entangled 5-qubit state, Bell-basis form",
-    "psi4a": "output of circuit_4a",
-    "psi4b": "output of circuit_4b",
-    "psi5a": "output of circuit_5a",
-    "psi5b": "output of circuit_5b",
-    "psi6a": "output of circuit_6a, 32 nonzero coefficients",
-    "psi6b": "H(0) applied to psi6a, 16 nonzero coefficients",
 }
 
 _GHZ_RE = re.compile(r"^(?:circuit_)?ghz0*(\d+)$")
@@ -245,10 +149,15 @@ def lookup(name: str) -> NamedEntry:
             kind, payload, source = "state", ghz_state(n), f"GHZ state, {n} qubits"
         return NamedEntry(key, kind, payload, (2 ** (n - 1) - 1) / 2.0, source)
     if key in _CIRCUITS:
-        expected = EXPECTED_TOTALS[CIRCUIT_OUTPUTS[key]]
-        return NamedEntry(key, "circuit", _CIRCUITS[key], expected, _SOURCES[key])
-    if key in _STATE_BUILDERS:
-        return NamedEntry(key, "state", _STATE_BUILDERS[key](), EXPECTED_TOTALS.get(key), _SOURCES[key])
+        text, output, source = _CIRCUITS[key]
+        n, _terms, expected, _source = _STATES[output]
+        return NamedEntry(key, "circuit", parse_circuit(text, n), expected, source)
+    if key in _STATES:
+        n, terms, expected, source = _STATES[key]
+        amps = np.zeros(1 << n, dtype=complex)
+        for index, amplitude in terms:
+            amps[index] = amplitude
+        return NamedEntry(key, "state", StateVector(n, amps), expected, source)
     raise KeyError(f"unknown catalog name {name!r}; try 'catalog list'")
 
 
@@ -274,7 +183,7 @@ def catalog_names() -> list[str]:
     names = [f"circuit_ghz{n}" for n in range(3, 7)]
     names += sorted(_CIRCUITS)
     names += [f"ghz{n}" for n in range(3, 7)]
-    names += sorted(_STATE_BUILDERS)
+    names += sorted(_STATES)
     return names
 
 
@@ -287,10 +196,9 @@ def permute_qubits(state: StateVector, permutation: Sequence[int]) -> StateVecto
     perm = tuple(int(p) for p in permutation)
     if sorted(perm) != list(range(state.n)):
         raise ValueError(f"{perm} is not a permutation of 0..{state.n - 1}")
-    source = np.arange(1 << state.n)
-    destination = np.zeros_like(source)
+    # Axis n - 1 - q of the (2,)*n tensor is qubit q.
+    n = state.n
+    axes = [0] * n
     for i, p in enumerate(perm):
-        destination |= ((source >> i) & 1) << p
-    amps = np.zeros_like(state.amplitudes)
-    amps[destination] = state.amplitudes
-    return StateVector(state.n, amps)
+        axes[n - 1 - p] = n - 1 - i
+    return StateVector(n, state.amplitudes.reshape((2,) * n).transpose(axes).reshape(-1))

@@ -76,10 +76,6 @@ class Cut:
         return m
 
     @property
-    def complement(self) -> frozenset[int]:
-        return frozenset(q for q in range(self.n) if q not in self.members)
-
-    @property
     def smaller_side(self) -> int:
         return min(len(self.members), self.n - len(self.members))
 
@@ -125,14 +121,6 @@ def enumerate_cuts(n: int) -> list[Cut]:
     return [Cut.from_mask(mask, n) for mask in range(1, (1 << n) - 1, 2)]
 
 
-def _scatter_bits(values: np.ndarray, positions: list[int]) -> np.ndarray:
-    """Spread the low bits of each value onto the given qubit positions."""
-    out = np.zeros(values.shape, dtype=np.intp)
-    for b, q in enumerate(positions):
-        out |= ((values >> b) & 1) << q
-    return out
-
-
 def _check_scored(n: int) -> None:
     if n > MAX_SCORED_QUBITS:
         raise ValueError(f"scoring is capped at {MAX_SCORED_QUBITS} qubits, got n={n}")
@@ -151,16 +139,17 @@ def _cut_layouts(n: int) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
     Read-only after construction, safe to share between threads and workers.
     """
     _check_scored(n)
+    # Axis a of the (2,)*n index tensor is qubit n - 1 - a.  Taking each
+    # side's axes in ascending order keeps its higher qubits more significant.
+    indices = np.arange(1 << n, dtype=np.intp).reshape((2,) * n)
     layouts = []
     for m in range(1, n):
         masks = tuple(mask for mask in range(1, (1 << n) - 1, 2) if mask.bit_count() == m)
         gathers = np.empty((len(masks), 1 << m, 1 << (n - m)), dtype=np.intp)
         for gather, mask in zip(gathers, masks):
-            members = [q for q in range(n) if (mask >> q) & 1]
-            rest = [q for q in range(n) if not (mask >> q) & 1]
-            rows = _scatter_bits(np.arange(1 << m), members)
-            cols = _scatter_bits(np.arange(1 << (n - m)), rest)
-            np.bitwise_or(rows[:, None], cols[None, :], out=gather)
+            members = [a for a in range(n) if (mask >> (n - 1 - a)) & 1]
+            rest = [a for a in range(n) if not (mask >> (n - 1 - a)) & 1]
+            gather[...] = indices.transpose(members + rest).reshape(gather.shape)
         gathers.flags.writeable = False
         layouts.append((m, masks, gathers))
     return tuple(layouts)
@@ -290,16 +279,12 @@ def max_entanglement_bound(n: int) -> float:
     return total
 
 
-def entanglement_trace(circuit: Circuit, initial: StateVector | None = None) -> list[tuple[int, float]]:
-    """Total score after each prefix of the circuit; entry 0 is the initial state."""
+def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
+    """Total score after each prefix of the circuit; entry 0 is |0...0>."""
     if circuit.n < 2:
         raise ValueError(f"entanglement needs at least 2 qubits, got n={circuit.n}")
     _check_scored(circuit.n)
-    if initial is None:
-        initial = zero_state(circuit.n)
-    if circuit.n != initial.n:
-        raise ValueError(f"circuit is on {circuit.n} qubits but the state has {initial.n}")
-    amps = initial.amplitudes.copy()
+    amps = zero_state(circuit.n).amplitudes.copy()
     trace = [(0, _total_negativity(amps, circuit.n))]
     for step, gate in enumerate(circuit.gates, start=1):
         _apply_gate_inplace(amps, gate, circuit.n)

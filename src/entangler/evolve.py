@@ -138,8 +138,8 @@ class GAConfig:
                              f"got {self.population_size} * {self.circuit_length}")
         if not 1 <= self.elite_count < self.population_size:
             raise ValueError(f"elite count must be in [1, population), got {self.elite_count}")
-        if self.tournament_size < 1:
-            raise ValueError(f"tournament size must be positive, got {self.tournament_size}")
+        if not 1 <= self.tournament_size <= self.population_size:
+            raise ValueError(f"tournament size must be in [1, population], got {self.tournament_size}")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError(f"crossover rate must be in [0, 1], got {self.crossover_rate}")
         rate = self.mutation_rate

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from entangler.catalog import (
-    CIRCUIT_OUTPUTS,
-    EXPECTED_TOTALS,
+    _CIRCUITS,
     QUBIT_RELABELINGS,
     catalog_entries,
     catalog_names,
@@ -21,6 +20,7 @@ from entangler.qsim import (
     GateSpec,
     allclose_up_to_phase,
     apply_gate,
+    format_circuit,
     nonzero_coefficient_count,
     run_circuit,
     zero_state,
@@ -46,11 +46,20 @@ def basis(bits: str) -> np.ndarray:
 # --- circuits reproduce their states -----------------------------------------
 
 
-@pytest.mark.parametrize("circuit_name,state_name", [("circuit_ghz3", "ghz3"), *CIRCUIT_OUTPUTS.items()])
+CIRCUIT_PAIRS = [(name, output) for name, (_text, output, _source) in _CIRCUITS.items()]
+
+
+@pytest.mark.parametrize("circuit_name,state_name", [("circuit_ghz3", "ghz3"), *CIRCUIT_PAIRS])
 def test_named_circuits_reproduce_named_states(circuit_name, state_name):
     circuit = named_circuit(circuit_name)
     produced = run_circuit(circuit, zero_state(circuit.n))
     assert allclose_up_to_phase(produced, named_state(state_name), tol=1e-10)
+
+
+@pytest.mark.parametrize("circuit_name,state_name", CIRCUIT_PAIRS)
+def test_circuit_rows_round_trip_and_share_their_output_total(circuit_name, state_name):
+    assert format_circuit(named_circuit(circuit_name)) == _CIRCUITS[circuit_name][0]
+    assert lookup(circuit_name).expected_total == lookup(state_name).expected_total
 
 
 def test_circuit_sizes():
@@ -87,7 +96,8 @@ def test_ghz6_total_entanglement():
 # --- expected totals -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("name,expected", sorted(EXPECTED_TOTALS.items()))
+@pytest.mark.parametrize("name,expected", [(entry.name, entry.expected_total)
+                                           for entry in catalog_entries() if entry.kind == "state"])
 def test_expected_totals(name, expected):
     total = total_entanglement(named_state(name)).total
     tolerance = 5e-5 if name == "hs4" else 1e-9

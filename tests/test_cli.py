@@ -202,6 +202,10 @@ def test_evolve_rejects_single_qubit(capsys):
         status, _, err = run_cli(capsys, "evolve", "--qubits", "3", "--gens", "0", *flags)
         assert status == EX_USAGE
         assert "must be at most 1000000" in err
+    status, _, err = run_cli(capsys, "evolve", "--qubits", "3", "--length", "3", "--pop", "4",
+                             "--gens", "1", "--tournament", str(10**12))
+    assert status == EX_USAGE
+    assert "tournament size must be in [1, population]" in err
 
 
 def test_evolve_csv_history(capsys):

@@ -153,6 +153,8 @@ def test_fitness_is_pure():
     dict(n=3, circuit_length=3, crossover_rate=1.5),
     dict(n=3, circuit_length=3, per_gene_mutation_rate=-0.1),
     dict(n=3, circuit_length=3, tournament_size=0),
+    dict(n=3, circuit_length=3, population_size=4, tournament_size=5),
+    dict(n=3, circuit_length=3, tournament_size=10**12),
     dict(n=3, circuit_length=3, max_generations=-1),
     dict(n=13, circuit_length=3),
     dict(n=3, circuit_length=3, population_size=3_000_000_000),
