@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .catalog import NamedEntry, catalog_entries, lookup
 from .entanglement import MAX_SCORED_QUBITS, entanglement_trace, max_entanglement_bound, total_entanglement
-from .evolve import GAConfig, evolve, length_sweep
+from .evolve import GAConfig, check_workers, evolve, length_sweep
 from .qsim import (
     Circuit,
     CircuitParseError,
@@ -159,7 +159,10 @@ def _read_config_file(path: str) -> dict:
 
 
 def _build_ga_config(args) -> GAConfig:
-    """GAConfig from the _GA_OPTIONS flags, each falling back to the --config file."""
+    """GAConfig from the _GA_OPTIONS flags, each falling back to the --config file.
+
+    Also refuses a --workers count that evolve() would refuse, before any run.
+    """
     file_values = _read_config_file(args.config) if args.config else {}
     unknown = set(file_values).difference(_GA_OPTIONS)
     if unknown:
@@ -191,6 +194,7 @@ def _build_ga_config(args) -> GAConfig:
             except ValueError:
                 raise _UsageError(f"--target must be a number or 'max', got {target!r}") from None
     try:
+        check_workers(args.workers)
         return GAConfig(**{field: v for field, v in fields.items() if v is not None})
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -356,7 +360,8 @@ def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
         if dest not in ("length", "target"):
             _add_ga_flag(parser, dest)
     parser.add_argument("--workers", type=int, default=1,
-                        help="parallel fitness workers; does not change results")
+                        help="parallel fitness workers, at most 1024; no more processes start "
+                             "than there are individuals or CPUs; does not change results")
     parser.add_argument("--config", help="flat key=value config file; flags win on conflict")
     parser.add_argument("--out", help="output path, default stdout")
 

@@ -42,6 +42,14 @@ NEGATIVE_EIGENVALUE_TOL = -1e-12
 # Largest qubit count either path scores (see the module docstring).
 MAX_SCORED_QUBITS = 12
 
+# A score memo (see _total_negativity) holds at most this many bytes: each
+# entry is charged its 16 * 2^n key bytes plus MEMO_ENTRY_OVERHEAD for the
+# bytes object, the float and the dict slot (about 110 bytes measured on
+# CPython 3.11, more while the dict resizes).  That is about 56,000 states
+# at n = 6 and 1,000 at n = 12.  A memo serves one qubit count.
+MEMO_MAX_BYTES = 64 << 20
+MEMO_ENTRY_OVERHEAD = 160
+
 _HERMITIAN_TOL = 1e-10
 
 
@@ -231,15 +239,28 @@ def _check_cut(state: StateVector, cut: Cut) -> None:
         raise ValueError(f"cut is for {cut.n} qubits but the state has {state.n}")
 
 
-def _total_negativity(amps: np.ndarray, n: int) -> float:
+def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | None = None) -> float:
     """Fast scalar path used by the search loop and traces.
 
     Sums left to right in mask order; np.sum or a compensated sum would move
     the last bit, which decides GA ties and so the best genes found.
+
+    memo, when given, maps amps.tobytes() to the total: equal bytes give the
+    same SVD input, so a stored total is the one this call would compute.
+    It is cleared whenever one more entry would take it past MEMO_MAX_BYTES.
     """
+    if memo is not None:
+        key = amps.tobytes()
+        total = memo.get(key)
+        if total is not None:
+            return total
     total = 0.0
     for value in _cut_negativities(amps, n):
         total += value
+    if memo is not None:
+        if (len(memo) + 1) * (len(key) + MEMO_ENTRY_OVERHEAD) > MEMO_MAX_BYTES:
+            memo.clear()
+        memo[key] = total
     return total
 
 

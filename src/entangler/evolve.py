@@ -10,9 +10,15 @@ and random draws happen in a fixed documented order (see ``evolve``).
 Fitness is pure and consumes no randomness, so evaluations may be farmed out
 to worker processes; results are merged back in population order before any
 further draw, which keeps runs bit-identical for any worker count.
+
+Many genomes decode to the same state, so one run scores each distinct state
+once: ``evolve`` gives ``fitness`` a fresh state -> score memo per call (and
+each pool worker one of its own), and a repeated state reads back the float
+its first scoring stored.  The memo dies with the run.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -31,6 +37,10 @@ TARGET_SLACK = 1e-9
 # anything is allocated: one generation's gene array is then at most 8 MB,
 # and its per-child arrays stay within tens of MB.
 MAX_POPULATION_GENES = 10**6
+
+# Largest worker count evolve() accepts.  It never starts more processes than
+# there are individuals or CPUs, since results do not depend on the count.
+MAX_WORKERS = 1024
 
 
 def _reached(best: float, target: float | None) -> bool:
@@ -97,18 +107,21 @@ def encode(circuit: Circuit, gate_set: GateSet) -> list[int]:
     return genes
 
 
-def fitness(genes: Chromosome, gate_set: GateSet) -> float:
+def fitness(genes: Chromosome, gate_set: GateSet, *, memo: dict[bytes, float] | None = None) -> float:
     """Summed negativity of the decoded circuit's output from |00...0>.
 
     Pure and deterministic; equals
     total_entanglement(run_circuit(decode(genes), zero_state(n))).total.
+    memo is an optional state -> score dict for this gate set's qubit count,
+    shared across calls; it returns the same value, only sooner for a state
+    seen before.
     """
     circuit = decode(genes, gate_set)
     amps = np.zeros(1 << gate_set.n, dtype=complex)
     amps[0] = 1.0
     for gate in circuit.gates:
         _apply_gate_inplace(amps, gate, gate_set.n)
-    return _total_negativity(amps, gate_set.n)
+    return _total_negativity(amps, gate_set.n, memo=memo)
 
 
 @dataclass(frozen=True)
@@ -203,22 +216,41 @@ class EvolutionResult:
         }
 
 
+def check_workers(workers: int) -> None:
+    """Refuse a worker count above MAX_WORKERS before any process starts."""
+    if workers > MAX_WORKERS:
+        raise ValueError(f"worker count must be at most {MAX_WORKERS}, got {workers}")
+
+
+def _pool_size(workers: int, population_size: int) -> int:
+    """Processes to start: none for a serial run, else at least one and at
+    most the individuals or CPUs there are."""
+    check_workers(workers)
+    if workers <= 1:
+        return 0
+    return min(workers, population_size, os.cpu_count() or 1)
+
+
+# Each pool worker's gate set and score memo, set by _pool_init; the pool,
+# and so the memo, lives for one evolve() call.
 _POOL_GATE_SET: GateSet | None = None
+_POOL_MEMO: dict[bytes, float] | None = None
 
 
 def _pool_init(n: int, families: tuple[str, ...]) -> None:
-    global _POOL_GATE_SET
+    global _POOL_GATE_SET, _POOL_MEMO
     _POOL_GATE_SET = build_gate_set(n, families)
+    _POOL_MEMO = {}
 
 
 def _pool_fitness(genes: list[int]) -> float:
-    return fitness(genes, _POOL_GATE_SET)
+    return fitness(genes, _POOL_GATE_SET, memo=_POOL_MEMO)
 
 
-def _evaluate(population: np.ndarray, gate_set: GateSet,
+def _evaluate(population: np.ndarray, gate_set: GateSet, memo: dict[bytes, float],
               pool: ProcessPoolExecutor | None, workers: int) -> np.ndarray:
     if pool is None:
-        return np.array([fitness(row, gate_set) for row in population])
+        return np.array([fitness(row, gate_set, memo=memo) for row in population])
     chunk = max(1, len(population) // (4 * workers))
     rows = [row.tolist() for row in population]
     return np.array(list(pool.map(_pool_fitness, rows, chunksize=chunk)))
@@ -269,18 +301,22 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
     population, row by row as one block; (2) per bred child, the draws listed
     in ``_breed``.  Elites are copied before any draw for the generation.
     The loop stops once the best fitness reaches target_fitness (within
-    1e-9) or after max_generations breeding rounds.
+    1e-9) or after max_generations breeding rounds.  workers > 1 starts a
+    pool of at most min(workers, population_size, CPU count) processes;
+    more than MAX_WORKERS is refused before anything starts.
     """
+    processes = _pool_size(workers, config.population_size)
     gate_set = build_gate_set(config.n, config.families)
     rng = np.random.default_rng(config.rng_seed)
+    memo: dict[bytes, float] = {}
     pool = None
     try:
-        if workers > 1:
+        if processes:
             pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_pool_init,
+                max_workers=processes, initializer=_pool_init,
                 initargs=(config.n, config.families))
         population = rng.integers(0, len(gate_set), size=(config.population_size, config.circuit_length))
-        fits = _evaluate(population, gate_set, pool, workers)
+        fits = _evaluate(population, gate_set, memo, pool, processes)
         evaluations = len(population)
         best_history = [float(fits.max())]
         mean_history = [float(fits.mean())]
@@ -292,7 +328,7 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
             if _reached(best_fitness, config.target_fitness):
                 break
             population = _breed(population, fits, config, len(gate_set), rng)
-            fits = _evaluate(population, gate_set, pool, workers)
+            fits = _evaluate(population, gate_set, memo, pool, processes)
             evaluations += len(population)
             top = int(_ranked(fits)[0])
             if fits[top] > best_fitness:

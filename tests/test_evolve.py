@@ -1,12 +1,18 @@
+import importlib
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entangler import entanglement
 from entangler.catalog import ghz_circuit, named_circuit
-from entangler.entanglement import total_entanglement
+from entangler.cli import EX_USAGE, main as cli_main
+from entangler.entanglement import MEMO_ENTRY_OVERHEAD, MEMO_MAX_BYTES, _total_negativity, total_entanglement
 from entangler.evolve import (
+    MAX_WORKERS,
     GAConfig,
     _breed,
     _tournament_pick,
@@ -19,6 +25,9 @@ from entangler.evolve import (
     sweep_seed,
 )
 from entangler.qsim import Circuit, GateSpec, run_circuit, zero_state
+
+# The package re-exports the function evolve under the submodule's name.
+evolve_module = importlib.import_module("entangler.evolve")
 
 
 # --- gate set ----------------------------------------------------------------
@@ -141,6 +150,86 @@ def test_fitness_is_pure():
     assert fitness(genes, gs) == fitness(genes, gs)
 
 
+# --- the per-run score memo ------------------------------------------------------
+
+ALL_FAMILIES = ("H", "X", "Y", "Z", "S", "T", "CNOT", "CZ")
+_SHARED_MEMOS = {n: {} for n in range(2, 7)}
+
+
+@given(data=st.data(), n=st.integers(2, 6))
+@settings(max_examples=200)
+def test_memoized_fitness_equals_plain_fitness(data, n):
+    # One memo per qubit count, shared across examples, so later examples hit
+    # states that earlier ones stored; the second call below always hits.
+    gs = build_gate_set(n, ALL_FAMILIES)
+    genes = data.draw(st.lists(st.integers(0, len(gs) - 1), max_size=2 * n))
+    plain = fitness(genes, gs)
+    for _ in range(2):
+        memoized = fitness(genes, gs, memo=_SHARED_MEMOS[n])
+        assert memoized == plain
+        assert math.copysign(1.0, memoized) == math.copysign(1.0, plain)
+
+
+def _counting_cut_negativities(monkeypatch):
+    calls = []
+    original = entanglement._cut_negativities
+
+    def counted(amps, n):
+        calls.append(n)
+        return original(amps, n)
+    monkeypatch.setattr(entanglement, "_cut_negativities", counted)
+    return calls
+
+
+def test_clearing_the_memo_changes_no_result(monkeypatch):
+    config = GAConfig(n=4, circuit_length=5, population_size=40, max_generations=30,
+                      target_fitness=6.5, rng_seed=4)
+    default = evolve(config)
+    calls = _counting_cut_negativities(monkeypatch)
+    evolve(config)
+    default_misses = len(calls)
+    # Room for three 4-qubit states: the memo clears every third new state.
+    monkeypatch.setattr(entanglement, "MEMO_MAX_BYTES", 3 * (16 * 2**4 + MEMO_ENTRY_OVERHEAD))
+    calls.clear()
+    assert evolve(config) == default
+    assert len(calls) > 2 * default_misses
+
+
+def test_a_run_scores_each_distinct_state_once(monkeypatch):
+    calls = _counting_cut_negativities(monkeypatch)
+    config = GAConfig(n=4, circuit_length=5, max_generations=60, target_fitness=6.5, rng_seed=0)
+    result = evolve(config)
+    assert result.evaluations == 6100
+    misses = len(calls)
+    assert misses <= 0.25 * result.evaluations
+    # No memo outlives its run: a second run scores every state again.
+    calls.clear()
+    evolve(config)
+    assert len(calls) == misses
+
+
+def test_memo_stays_within_its_byte_bound_at_twelve_qubits(monkeypatch):
+    # Misses cost nothing here; what is measured is the memo's own memory.
+    monkeypatch.setattr(entanglement, "_cut_negativities", lambda amps, n: [0.0])
+    entry = 16 * 2**12 + MEMO_ENTRY_OVERHEAD
+    capacity = MEMO_MAX_BYTES // entry
+    amps = np.zeros(2**12, dtype=complex)
+    memo = {}
+    tracemalloc.start()
+    try:
+        for i in range(capacity + 5):
+            amps[1] = i
+            assert _total_negativity(amps, 12, memo=memo) == 0.0
+            assert len(memo) * entry <= MEMO_MAX_BYTES
+            if i == capacity - 1:
+                assert len(memo) == capacity
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(memo) == 5
+    assert peak <= MEMO_MAX_BYTES + 2**20
+
+
 # --- config validation ------------------------------------------------------------
 
 
@@ -192,6 +281,64 @@ def test_same_seed_gives_identical_results():
 def test_worker_pool_does_not_change_results():
     config = GAConfig(n=3, circuit_length=4, population_size=20, max_generations=4, rng_seed=5)
     assert evolve(config, workers=1) == evolve(config, workers=2)
+
+
+class _SpyPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs the
+    initializer and every call in this process, so no process starts."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        _SpyPool.sizes.append(max_workers)
+        initializer(*initargs)
+
+    def map(self, fn, rows, chunksize=1):
+        return map(fn, rows)
+
+    def shutdown(self):
+        pass
+
+
+@pytest.fixture
+def spy_pool(monkeypatch):
+    monkeypatch.setattr(_SpyPool, "sizes", [])
+    monkeypatch.setattr(evolve_module, "ProcessPoolExecutor", _SpyPool)
+    # The initializer sets the worker globals; put them back afterwards.
+    monkeypatch.setattr(evolve_module, "_POOL_GATE_SET", None)
+    monkeypatch.setattr(evolve_module, "_POOL_MEMO", None)
+    return _SpyPool.sizes
+
+
+@pytest.mark.parametrize("workers, population, cpus, started", [
+    (6, 2, 8, 2),
+    (4, 20, 2, 2),
+    (3, 20, 8, 3),
+    (2, 20, 1, 1),
+    (4, 20, None, 1),
+    (MAX_WORKERS, 20, 4096, 20),
+    (1, 20, 8, None),
+    (0, 20, 8, None),
+])
+def test_pool_size_is_bounded(spy_pool, monkeypatch, workers, population, cpus, started):
+    monkeypatch.setattr(evolve_module.os, "cpu_count", lambda: cpus)
+    config = GAConfig(n=3, circuit_length=3, population_size=population, max_generations=2, rng_seed=1)
+    result = evolve(config, workers=workers)
+    assert spy_pool == ([] if started is None else [started])
+    assert result == evolve(config, workers=1)
+
+
+def test_too_many_workers_are_refused_before_any_pool(spy_pool, capsys):
+    config = GAConfig(n=3, circuit_length=3, population_size=4, max_generations=1)
+    with pytest.raises(ValueError, match="worker count must be at most 1024"):
+        evolve(config, workers=MAX_WORKERS + 1)
+    with pytest.raises(ValueError, match="worker count must be at most 1024"):
+        length_sweep(config, [1, 2], workers=100_000)
+    for command in (["evolve", "--length", "3"], ["sweep", "--lengths", "1,2"]):
+        status = cli_main([*command, "--qubits", "3", "--pop", "4", "--gens", "1", "--workers", "100000"])
+        assert status == EX_USAGE
+        assert "worker count must be at most 1024" in capsys.readouterr().err
+    assert spy_pool == []
 
 
 def test_ghz3_target_reached_quickly():

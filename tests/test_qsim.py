@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from entangler.qsim import (
     GATE_KINDS,
     GATE_MATRICES,
     SINGLE_QUBIT_KINDS,
+    TWO_QUBIT_KINDS,
     Circuit,
     CircuitParseError,
     GateSpec,
@@ -297,6 +298,47 @@ def test_parse_error_on_over_long_label():
 def test_format_parse_round_trip(name):
     circuit = named_circuit(name)
     assert parse_circuit(format_circuit(circuit), n=circuit.n) == circuit
+
+
+@st.composite
+def circuits(draw):
+    """Circuits on up to 16 qubits (labels up to 15) over all eight gate kinds."""
+    n = draw(st.integers(2, 16))
+    single = st.builds(lambda kind, q: GateSpec(kind, (q,)),
+                       st.sampled_from(SINGLE_QUBIT_KINDS), st.integers(0, n - 1))
+    double = st.builds(lambda kind, pair: GateSpec(kind, tuple(pair)), st.sampled_from(TWO_QUBIT_KINDS),
+                       st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return Circuit(n, tuple(draw(st.lists(single | double, max_size=20))))
+
+
+@given(circuit=circuits(), paper_order=st.booleans())
+@settings(max_examples=300)
+def test_circuit_text_round_trips(circuit, paper_order):
+    parsed = parse_circuit(format_circuit(circuit, paper_order=paper_order), n=circuit.n)
+    gates = parsed.gates[::-1] if paper_order else parsed.gates
+    assert Circuit(parsed.n, gates) == circuit
+
+
+_GRAMMAR_CHARACTERS = "HXYZSTCNOTcnotzQ(),; \n\t0123456789-+."
+
+
+@given(text=st.text(alphabet=_GRAMMAR_CHARACTERS) | st.text() | circuits().map(format_circuit),
+       n=st.none() | st.integers(1, 16), cut=st.integers(0, 400))
+@settings(max_examples=500)
+def test_parse_circuit_fails_only_with_a_positioned_parse_error(text, n, cut):
+    # Truncating well-formed text reaches the grammar's inner states.
+    text = text[:cut]
+    try:
+        circuit = parse_circuit(text, n=n)
+    except CircuitParseError as err:
+        assert 1 <= err.line <= text.count("\n") + 1
+        assert err.column >= 1
+    except ValueError as err:
+        # The one documented exception: no gate to infer a qubit count from.
+        assert n is None and "empty circuit" in str(err)
+    else:
+        assert isinstance(circuit, Circuit)
+        assert n is None or circuit.n == n
 
 
 def test_paper_order_reverses_the_listing():
