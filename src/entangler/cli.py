@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .catalog import NamedEntry, catalog_entries, lookup
 from .entanglement import MAX_SCORED_QUBITS, entanglement_trace, max_entanglement_bound, total_entanglement
-from .evolve import GAConfig, check_workers, evolve, length_sweep
+from .evolve import GAConfig, _pool_size, check_workers, evolve, length_sweep
 from .qsim import (
     Circuit,
     CircuitParseError,
@@ -214,7 +214,8 @@ def cmd_evolve(args) -> int:
         "finished": finished,
         "config": config.to_dict(),
         "rng_seed": config.rng_seed,
-        "workers": args.workers,
+        # The processes evolve() started, 1 for a serial run.
+        "workers": _pool_size(args.workers, config.population_size) or 1,
         "result": {
             **result.to_dict(),
             "per_cut": total_entanglement(final_state).to_dict()["per_cut"],

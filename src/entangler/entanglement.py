@@ -21,6 +21,15 @@ Two numerical paths compute a cut's contribution:
   indices and sums the negative eigenvalues.  Kept as the independent
   cross-check (CLI ``--validate``).
 
+A trace (``entanglement_trace``) keeps one per-cut list across the prefixes
+of a circuit and after each gate scores again only the cuts that gate can
+change.  A gate acting within one side of a cut is a local unitary there,
+which leaves that cut's singular values, and so its contribution, exactly as
+they were (Vidal, quant-ph/0301063).  So a single-qubit gate changes no cut,
+and a two-qubit gate on (a, b) changes only the half of the cuts that
+separate a from b; ``_cut_negativities`` fills just those, with one stacked
+SVD per cut size over their gathers.
+
 Both paths refuse states of more than MAX_SCORED_QUBITS qubits before they
 allocate anything: 64 MiB of gather matrices or a 4096 x 4096 density
 matrix at n = 12, and four times as much per extra qubit.
@@ -178,10 +187,25 @@ def _stack_negativities(amps: np.ndarray, gathers: np.ndarray) -> list[float]:
     return values
 
 
-def _cut_negativities(amps: np.ndarray, n: int) -> list[float]:
-    """Every canonical cut's contribution, ascending by mask (mask m at m >> 1)."""
-    values = [0.0] * ((1 << (n - 1)) - 1)
+def _cut_negativities(amps: np.ndarray, n: int, values: list | None = None) -> list[float]:
+    """Every canonical cut's contribution, ascending by mask (mask m at m >> 1).
+
+    values, when given, is such a list with None for the cuts to compute; it
+    is filled in place and returned, its other entries kept as they stand.
+    Each cut size still takes one stacked SVD, over just the missing cuts'
+    gathers; LAPACK factors each matrix of a stack on its own, so a cut
+    scores the same bits in a partial stack as in the full one.
+    """
+    everything = values is None
+    if everything:
+        values = [0.0] * ((1 << (n - 1)) - 1)
     for _m, masks, gathers in _cut_layouts(n):
+        if not everything:
+            picked = [i for i, mask in enumerate(masks) if values[mask >> 1] is None]
+            if not picked:
+                continue
+            if len(picked) < len(masks):  # a whole group is scored without copying its gathers
+                masks, gathers = [masks[i] for i in picked], gathers[picked]
         for mask, value in zip(masks, _stack_negativities(amps, gathers)):
             values[mask >> 1] = value
     return values
@@ -239,7 +263,8 @@ def _check_cut(state: StateVector, cut: Cut) -> None:
         raise ValueError(f"cut is for {cut.n} qubits but the state has {state.n}")
 
 
-def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | None = None) -> float:
+def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | None = None,
+                      known: list | None = None) -> float:
     """Fast scalar path used by the search loop and traces.
 
     Sums left to right in mask order; np.sum or a compensated sum would move
@@ -248,6 +273,10 @@ def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | No
     memo, when given, maps amps.tobytes() to the total: equal bytes give the
     same SVD input, so a stored total is the one this call would compute.
     It is cleared whenever one more entry would take it past MEMO_MAX_BYTES.
+
+    known, when given, is the per-cut list _cut_negativities(amps, n, known)
+    fills: its None entries are computed in place and the rest summed as
+    they stand.  The search loop passes no list.
     """
     if memo is not None:
         key = amps.tobytes()
@@ -255,7 +284,7 @@ def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | No
         if total is not None:
             return total
     total = 0.0
-    for value in _cut_negativities(amps, n):
+    for value in _cut_negativities(amps, n) if known is None else _cut_negativities(amps, n, known):
         total += value
     if memo is not None:
         if (len(memo) + 1) * (len(key) + MEMO_ENTRY_OVERHEAD) > MEMO_MAX_BYTES:
@@ -301,13 +330,30 @@ def max_entanglement_bound(n: int) -> float:
 
 
 def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
-    """Total score after each prefix of the circuit; entry 0 is |0...0>."""
-    if circuit.n < 2:
-        raise ValueError(f"entanglement needs at least 2 qubits, got n={circuit.n}")
-    _check_scored(circuit.n)
-    amps = zero_state(circuit.n).amplitudes.copy()
-    trace = [(0, _total_negativity(amps, circuit.n))]
+    """Total score after each prefix of the circuit; entry 0 is |0...0>.
+
+    One per-cut list is kept across prefixes, and after each gate only the
+    cuts that gate can change are scored again.  A gate acting within one
+    side of a cut is a local unitary U_A (x) U_B: it maps the cut's matrix M
+    to U_A M U_B^T, whose singular values, and so whose contribution, are
+    those of M.  So a single-qubit gate changes no cut, and a two-qubit gate
+    on (a, b) only the cuts with exactly one of a, b among the members.  A
+    kept value was scored on an earlier prefix, so an entry can differ from
+    total_entanglement of the same prefix in the last bits (within 1e-12).
+    """
+    n = circuit.n
+    if n < 2:
+        raise ValueError(f"entanglement needs at least 2 qubits, got n={n}")
+    _check_scored(n)
+    amps = zero_state(n).amplitudes.copy()
+    values = [None] * ((1 << (n - 1)) - 1)
+    trace = [(0, _total_negativity(amps, n, known=values))]
     for step, gate in enumerate(circuit.gates, start=1):
-        _apply_gate_inplace(amps, gate, circuit.n)
-        trace.append((step, _total_negativity(amps, circuit.n)))
+        _apply_gate_inplace(amps, gate, n)
+        if len(gate.args) == 2:
+            a, b = gate.args
+            # Cut i has member mask 2i + 1.
+            values = [None if ((2 * i + 1) >> a ^ (2 * i + 1) >> b) & 1 else value
+                      for i, value in enumerate(values)]
+        trace.append((step, _total_negativity(amps, n, known=values)))
     return trace

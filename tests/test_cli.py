@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from entangler.catalog import catalog_entries
 from entangler.cli import EX_BUDGET, EX_ERROR, EX_OK, EX_PARSE, EX_USAGE, main
 
 
@@ -357,3 +361,63 @@ def test_out_file_holds_exactly_what_stdout_shows(argv, tmp_path, capsys):
         return re.sub(r'"(started|finished)": "[^"]*"', "", text)
 
     assert untimed(written) == untimed(stdout)
+
+
+# --- argv fuzzing --------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A working directory with circuit files of every kind the commands read."""
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "ghz3.qc").write_text("H(2); CNOT(2,1); CNOT(2,0)\n")
+    (path / "bad.qc").write_text("H(2); CNOT(1)\n")
+    (path / "empty.qc").write_text("\n")
+    (path / "binary.qc").write_bytes(b"\xff\xfe\x00H(0)")
+    (path / "folder").mkdir()
+    return path
+
+
+# Only trace, evaluate and catalog: no GA runs and no pool starts.  Qubit
+# counts stay at most 8 or above the scoring cap, so that --validate stays cheap.
+_FUZZ_VALUES = {
+    "--circuit": ("ghz3.qc", "bad.qc", "empty.qc", "binary.qc", "folder", "missing.qc", "-"),
+    "--catalog": ("ghz2", "ghz8", "ghz0", "ghz17", "circuit_ghz7", "psi99",
+                  *(entry.name for entry in catalog_entries())),
+    "--qubits": ("-1", "0", "1", "2", "3", "6", "13", "17", "9" * 30),
+    "--format": ("json", "csv", "text", "xml"),
+    "--out": ("-", "out.txt", "folder"),
+}
+_FUZZ_SWITCHES = ("--validate", "--state", "--paper-order", "-h", "--version", "--bogus", "--")
+# Free text: no digits (a large qubit count would make --validate slow) and no
+# path separators (--out writes inside the working directory only).
+_FUZZ_TEXT = st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="/\\"), max_size=8)
+_FUZZ_WORD = st.sampled_from(("list", "show", *_FUZZ_SWITCHES, *sum(_FUZZ_VALUES.values(), ()))) | _FUZZ_TEXT
+_FUZZ_OPTION = (st.sampled_from(tuple(_FUZZ_VALUES)).flatmap(
+    lambda flag: st.tuples(st.just(flag), st.sampled_from(_FUZZ_VALUES[flag])))
+    | st.tuples(st.sampled_from(_FUZZ_SWITCHES)))
+# A subcommand, mostly well-formed options, then up to two arbitrary words.
+_FUZZ_ARGV = st.tuples(
+    st.sampled_from((("trace",), ("evaluate",), ("catalog",), ("catalog", "list")))
+    | st.tuples(st.just("catalog"), st.just("show"), st.sampled_from(_FUZZ_VALUES["--catalog"])),
+    st.lists(_FUZZ_OPTION, max_size=4),
+    st.lists(_FUZZ_WORD, max_size=2),
+).map(lambda parts: [*parts[0], *(word for option in parts[1] for word in option), *parts[2]])
+
+
+@given(argv=_FUZZ_ARGV)
+@settings(max_examples=100)
+def test_fuzzed_argv_ends_in_a_documented_exit_code(fuzz_dir, argv):
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)
+    err = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # -h
+                status = exc.code
+    finally:
+        os.chdir(cwd)
+    assert status in (EX_OK, EX_ERROR, EX_BUDGET, EX_USAGE, EX_PARSE)
+    assert "Traceback" not in err.getvalue()

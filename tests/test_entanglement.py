@@ -17,7 +17,8 @@ from entangler.entanglement import (
     partial_transpose_spectrum,
     total_entanglement,
 )
-from entangler.qsim import Circuit, GateSpec, StateVector, apply_gate, run_circuit, zero_state
+from entangler.evolve import build_gate_set
+from entangler.qsim import GATE_KINDS, Circuit, GateSpec, StateVector, apply_gate, run_circuit, zero_state
 
 from oracles import char_poly_eigenvalues, partial_transpose_dense, random_state
 
@@ -193,6 +194,21 @@ def test_stacked_scores_equal_per_cut_svds_bit_for_bit(seed, n, split):
     assert _total_negativity(amps, n) == total
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), data=st.data())
+@settings(max_examples=40)
+def test_partial_recomputation_fills_the_same_bits(seed, n, data):
+    # A cut scores the same bits in a stack of some cuts as in the stack of all.
+    amps = random_state(n, np.random.default_rng(seed)).amplitudes
+    full = _cut_negativities(amps, n)
+    missing = data.draw(st.sets(st.integers(0, len(full) - 1)))
+    values = [None if i in missing else value for i, value in enumerate(full)]
+    assert _cut_negativities(amps, n, values) is values
+    assert values == full
+    known = [None if i in missing else value for i, value in enumerate(full)]
+    assert _total_negativity(amps, n, known=known) == _total_negativity(amps, n)
+    assert known == full
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
 @settings(max_examples=25)
 def test_schmidt_and_eigen_paths_agree(seed, n):
@@ -318,6 +334,30 @@ def test_ghz_trace_increment_law(n):
 
 def test_trace_of_empty_circuit():
     assert entanglement_trace(Circuit(2, ())) == [(0, 0.0)]
+
+
+@st.composite
+def _circuits(draw):
+    """Circuits over every gate kind, n = 2..8, of up to 3n gates."""
+    n = draw(st.integers(2, 8))
+    table = build_gate_set(n, GATE_KINDS).table
+    return Circuit(n, tuple(draw(st.lists(st.sampled_from(table), max_size=3 * n))))
+
+
+@given(circuit=_circuits())
+# CNOT(1, 2) changes the cut {0, 2}, which holds its target but not its control.
+@example(circuit=Circuit(3, (GateSpec("H", (1,)), GateSpec("CNOT", (1, 2)))))
+@settings(max_examples=40)
+def test_trace_rescores_only_the_cuts_a_gate_can_change(circuit):
+    n, gates = circuit.n, circuit.gates
+    steps = entanglement_trace(circuit)
+    assert [step for step, _ in steps] == list(range(len(gates) + 1))
+    for k, (_, value) in enumerate(steps):
+        exact = total_entanglement(run_circuit(Circuit(n, gates[:k]), zero_state(n))).total
+        assert abs(value - exact) <= 1e-12
+        # A single-qubit gate is local to every cut: the entry is carried over.
+        if k and len(gates[k - 1].args) == 1:
+            assert value == steps[k - 1][1]
 
 
 # --- eigensolver facade ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from entangler import entanglement
 from entangler.catalog import ghz_circuit, named_circuit
-from entangler.cli import EX_USAGE, main as cli_main
+from entangler.cli import EX_OK, EX_USAGE, main as cli_main
 from entangler.entanglement import MEMO_ENTRY_OVERHEAD, MEMO_MAX_BYTES, _total_negativity, total_entanglement
 from entangler.evolve import (
     MAX_WORKERS,
@@ -326,6 +327,16 @@ def test_pool_size_is_bounded(spy_pool, monkeypatch, workers, population, cpus, 
     result = evolve(config, workers=workers)
     assert spy_pool == ([] if started is None else [started])
     assert result == evolve(config, workers=1)
+
+
+def test_evolve_record_names_the_processes_started(spy_pool, monkeypatch, capsys):
+    monkeypatch.setattr(evolve_module.os, "cpu_count", lambda: 2)
+    for workers, recorded in (("4", 2), ("1", 1)):
+        status = cli_main(["evolve", "--qubits", "3", "--length", "3", "--pop", "8", "--gens", "1",
+                           "--workers", workers])
+        assert status == EX_OK
+        assert json.loads(capsys.readouterr().out)["workers"] == recorded
+    assert spy_pool == [2]
 
 
 def test_too_many_workers_are_refused_before_any_pool(spy_pool, capsys):
