@@ -16,12 +16,13 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
 from .catalog import NamedEntry, catalog_entries, lookup
 from .entanglement import MAX_SCORED_QUBITS, entanglement_trace, max_entanglement_bound, total_entanglement
-from .evolve import GAConfig, _pool_size, check_workers, evolve, length_sweep
+from .evolve import GAConfig, _pool_size, evolve, sweep_configs
 from .qsim import (
     Circuit,
     CircuitParseError,
@@ -42,6 +43,11 @@ EX_PARSE = 65
 SEED_ENV_VAR = "ENTANGLER_SEED"
 
 _VALIDATE_TOL = 1e-10
+
+# Largest qubit count --validate takes: its eigen path diagonalises a dense
+# 2^n x 2^n matrix per cut, 7 s in all at n = 9 and 95 s at n = 10 (2-vCPU
+# host, one BLAS thread), about ten times more per further qubit.
+MAX_VALIDATED_QUBITS = 9
 
 # Every GA option once, dest -> (type, GAConfig field, help).  The table makes
 # both the evolve/sweep flags and the keys a --config file may set.
@@ -186,18 +192,19 @@ def _build_ga_config(args) -> GAConfig:
     fields["rng_seed"] = _resolve_seed(fields["rng_seed"])
     target = fields["target_fitness"]
     if target is not None:
-        if target.lower() == "max":
-            fields["target_fitness"] = max_entanglement_bound(n)
-        else:
-            try:
-                fields["target_fitness"] = float(target)
-            except ValueError:
-                raise _UsageError(f"--target must be a number or 'max', got {target!r}") from None
+        try:
+            fields["target_fitness"] = None if target.lower() == "max" else float(target)
+        except ValueError:
+            raise _UsageError(f"--target must be a number or 'max', got {target!r}") from None
     try:
-        check_workers(args.workers)
-        return GAConfig(**{field: v for field, v in fields.items() if v is not None})
+        config = GAConfig(**{field: v for field, v in fields.items() if v is not None})
+        _pool_size(args.workers, config.population_size)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    if target is not None and target.lower() == "max":
+        # From the checked qubit count: the bound of an unchecked one can overflow.
+        config = replace(config, target_fitness=max_entanglement_bound(config.n))
+    return config
 
 
 def cmd_evolve(args) -> int:
@@ -253,6 +260,8 @@ def _load_subject(args) -> tuple[str, Circuit | None, StateVector]:
 
 def _validated_report(state: StateVector):
     """Eigenvalue-path report, cross-checked cut by cut against the schmidt path."""
+    if state.n > MAX_VALIDATED_QUBITS:
+        raise _UsageError(f"--validate is capped at {MAX_VALIDATED_QUBITS} qubits, got n={state.n}")
     report = total_entanglement(state, method="eigen")
     for slow, fast in zip(report.per_cut, total_entanglement(state).per_cut):
         if abs(fast.contribution - slow.contribution) > _VALIDATE_TOL:
@@ -333,8 +342,12 @@ def cmd_sweep(args) -> int:
         raise _UsageError(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
     if not lengths:
         raise _UsageError("--lengths is empty")
+    try:
+        configs = sweep_configs(config, lengths)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     started = _utc_now()
-    rows = length_sweep(config, lengths, workers=args.workers)
+    rows = [(sub.circuit_length, evolve(sub, workers=args.workers).best_fitness) for sub in configs]
     finished = _utc_now()
     header = ["length", "best_fitness"]
     record = {

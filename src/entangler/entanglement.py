@@ -30,8 +30,9 @@ and a two-qubit gate on (a, b) changes only the half of the cuts that
 separate a from b; ``_cut_negativities`` fills just those, with one stacked
 SVD per cut size over their gathers.
 
-Both paths refuse states of more than MAX_SCORED_QUBITS qubits before they
-allocate anything: 64 MiB of gather matrices or a 4096 x 4096 density
+Every scoring entry point, and ``enumerate_cuts``, takes n from 2 to
+MAX_SCORED_QUBITS (``_check_scored``) and refuses any other n before it
+allocates anything: 64 MiB of gather matrices or a 4096 x 4096 density
 matrix at n = 12, and four times as much per extra qubit.
 """
 from __future__ import annotations
@@ -131,16 +132,18 @@ class EntanglementReport:
         }
 
 
-def enumerate_cuts(n: int) -> list[Cut]:
-    """All 2^(n-1) - 1 canonical cuts, ascending by member bitmask."""
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits to cut, got n={n}")
-    return [Cut.from_mask(mask, n) for mask in range(1, (1 << n) - 1, 2)]
-
-
 def _check_scored(n: int) -> None:
+    """Refuse a qubit count that has no cut or that scoring does not take."""
+    if n < 2:
+        raise ValueError(f"entanglement needs at least 2 qubits, got n={n}")
     if n > MAX_SCORED_QUBITS:
         raise ValueError(f"scoring is capped at {MAX_SCORED_QUBITS} qubits, got n={n}")
+
+
+def enumerate_cuts(n: int) -> list[Cut]:
+    """All 2^(n-1) - 1 canonical cuts, ascending by member bitmask."""
+    _check_scored(n)
+    return [Cut.from_mask(mask, n) for mask in range(1, (1 << n) - 1, 2)]
 
 
 # perfbench reads this cache's cache_info() and sums its gathers' nbytes, and
@@ -295,10 +298,7 @@ def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | No
 
 def total_entanglement(state: StateVector, method: str = "schmidt") -> EntanglementReport:
     """Summed negativity over all canonical cuts, with the per-cut breakdown."""
-    if state.n < 2:
-        raise ValueError(f"entanglement needs at least 2 qubits, got n={state.n}")
-    _check_scored(state.n)
-    cuts = enumerate_cuts(state.n)
+    cuts = enumerate_cuts(state.n)  # checks n before any scoring
     if method == "schmidt":
         values = _cut_negativities(state.amplitudes, state.n)
     else:
@@ -342,8 +342,6 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     total_entanglement of the same prefix in the last bits (within 1e-12).
     """
     n = circuit.n
-    if n < 2:
-        raise ValueError(f"entanglement needs at least 2 qubits, got n={n}")
     _check_scored(n)
     amps = zero_state(n).amplitudes.copy()
     values = [None] * ((1 << (n - 1)) - 1)

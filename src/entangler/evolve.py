@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -63,10 +63,8 @@ class GateSet:
 def build_gate_set(n: int, families: Sequence[str]) -> GateSet:
     """Deterministic gate table: families in canonical kind order; within a
     single-qubit family qubits ascend; within a two-qubit family ordered
-    pairs (i, j) run in lexicographic order.  Capped like scoring, since the
-    circuits it encodes are only ever scored."""
-    if n < 2:
-        raise ValueError(f"gate sets need at least 2 qubits, got n={n}")
+    pairs (i, j) run in lexicographic order.  Takes the qubit range that
+    scoring takes, since the circuits it encodes are only ever scored."""
     _check_scored(n)
     wanted = {f.upper() for f in families}
     if not wanted:
@@ -160,6 +158,8 @@ class GAConfig:
             raise ValueError(f"mutation rate must be in [0, 1], got {rate}")
         if self.max_generations < 0:
             raise ValueError(f"generation budget must be nonnegative, got {self.max_generations}")
+        if self.rng_seed < 0:
+            raise ValueError(f"RNG seed must be nonnegative, got {self.rng_seed}")
 
     @property
     def mutation_rate(self) -> float:
@@ -168,19 +168,8 @@ class GAConfig:
         return self.per_gene_mutation_rate
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "circuit_length": self.circuit_length,
-            "families": list(self.families),
-            "population_size": self.population_size,
-            "max_generations": self.max_generations,
-            "crossover_rate": self.crossover_rate,
-            "per_gene_mutation_rate": self.mutation_rate,
-            "tournament_size": self.tournament_size,
-            "elite_count": self.elite_count,
-            "target_fitness": self.target_fitness,
-            "rng_seed": self.rng_seed,
-        }
+        """Every field in field order, the mutation rate resolved."""
+        return {**asdict(self), "families": list(self.families), "per_gene_mutation_rate": self.mutation_rate}
 
 
 @dataclass(frozen=True)
@@ -216,16 +205,12 @@ class EvolutionResult:
         }
 
 
-def check_workers(workers: int) -> None:
-    """Refuse a worker count above MAX_WORKERS before any process starts."""
-    if workers > MAX_WORKERS:
-        raise ValueError(f"worker count must be at most {MAX_WORKERS}, got {workers}")
-
-
 def _pool_size(workers: int, population_size: int) -> int:
     """Processes to start: none for a serial run, else at least one and at
-    most the individuals or CPUs there are."""
-    check_workers(workers)
+    most the individuals or CPUs there are.  The one place that refuses a
+    count above MAX_WORKERS; evolve() asks it before any process starts."""
+    if workers > MAX_WORKERS:
+        raise ValueError(f"worker count must be at most {MAX_WORKERS}, got {workers}")
     if workers <= 1:
         return 0
     return min(workers, population_size, os.cpu_count() or 1)
@@ -300,6 +285,8 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
     Random draws happen in this order and no other: (1) the initial
     population, row by row as one block; (2) per bred child, the draws listed
     in ``_breed``.  Elites are copied before any draw for the generation.
+    Every generation, the random initial one included, runs one loop body:
+    evaluate, keep the best, record the histories, then stop or breed.
     The loop stops once the best fitness reaches target_fitness (within
     1e-9) or after max_generations breeding rounds.  workers > 1 starts a
     pool of at most min(workers, population_size, CPU count) processes;
@@ -316,26 +303,19 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
                 max_workers=processes, initializer=_pool_init,
                 initargs=(config.n, config.families))
         population = rng.integers(0, len(gate_set), size=(config.population_size, config.circuit_length))
-        fits = _evaluate(population, gate_set, memo, pool, processes)
-        evaluations = len(population)
-        best_history = [float(fits.max())]
-        mean_history = [float(fits.mean())]
-        best_index = int(_ranked(fits)[0])
-        best_genes = population[best_index].copy()
-        best_fitness = float(fits[best_index])
-
-        for _ in range(config.max_generations):
-            if _reached(best_fitness, config.target_fitness):
-                break
-            population = _breed(population, fits, config, len(gate_set), rng)
+        best_fitness, best_genes = -np.inf, None
+        best_history, mean_history = [], []
+        while True:
             fits = _evaluate(population, gate_set, memo, pool, processes)
-            evaluations += len(population)
             top = int(_ranked(fits)[0])
             if fits[top] > best_fitness:
                 best_fitness = float(fits[top])
                 best_genes = population[top].copy()
             best_history.append(float(fits.max()))
             mean_history.append(float(fits.mean()))
+            if len(best_history) > config.max_generations or _reached(best_fitness, config.target_fitness):
+                break
+            population = _breed(population, fits, config, len(gate_set), rng)
     finally:
         if pool is not None:
             pool.shutdown()
@@ -345,7 +325,7 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
         best_fitness=best_fitness,
         best_history=tuple(best_history),
         mean_history=tuple(mean_history),
-        evaluations=evaluations,
+        evaluations=config.population_size * len(best_history),
         rng_seed=config.rng_seed,
         config=config,
     )
@@ -356,12 +336,16 @@ def sweep_seed(base_seed: int, length: int) -> int:
     return int(np.random.SeedSequence([base_seed, length]).generate_state(1)[0])
 
 
-def length_sweep(config: GAConfig, lengths: Sequence[int], workers: int = 1) -> list[tuple[int, float]]:
-    """Best fitness per circuit length, each length evolved with its own sub-seed."""
+def sweep_configs(config: GAConfig, lengths: Sequence[int]) -> list[GAConfig]:
+    """One config per circuit length, each with its own sub-seed.  Every one
+    is built, and so checked, before the caller runs any of them."""
     if not lengths:
         raise ValueError("need at least one length to sweep")
-    results = []
-    for length in lengths:
-        sub = replace(config, circuit_length=int(length), rng_seed=sweep_seed(config.rng_seed, int(length)))
-        results.append((int(length), evolve(sub, workers=workers).best_fitness))
-    return results
+    configs = [replace(config, circuit_length=int(length)) for length in lengths]
+    return [replace(sub, rng_seed=sweep_seed(config.rng_seed, sub.circuit_length)) for sub in configs]
+
+
+def length_sweep(config: GAConfig, lengths: Sequence[int], workers: int = 1) -> list[tuple[int, float]]:
+    """Best fitness per circuit length; no length runs unless all are valid."""
+    return [(sub.circuit_length, evolve(sub, workers=workers).best_fitness)
+            for sub in sweep_configs(config, lengths)]

@@ -1,15 +1,21 @@
 import csv
+import importlib
 import io
 import json
 import os
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from entangler import cli as cli_module
 from entangler.catalog import catalog_entries
 from entangler.cli import EX_BUDGET, EX_ERROR, EX_OK, EX_PARSE, EX_USAGE, main
+
+# The package re-exports the function evolve under the submodule's name.
+evolve_module = importlib.import_module("entangler.evolve")
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +53,20 @@ def test_evaluate_validate_mode(capsys):
     status, out, _ = run_cli(capsys, "evaluate", "--catalog", "psi5a", "--validate", "--format", "json")
     assert status == EX_OK
     assert json.loads(out)["total"] == 17.5
+
+
+def test_validate_is_refused_above_nine_qubits_before_any_scoring(monkeypatch, capsys):
+    # The eigen path would take about 95 s on ghz10.
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("a state was scored")
+
+    monkeypatch.setattr(cli_module, "total_entanglement", no_scoring)
+    started = time.monotonic()
+    status, out, err = run_cli(capsys, "evaluate", "--catalog", "ghz10", "--validate")
+    assert time.monotonic() - started < 5.0
+    assert status == EX_USAGE
+    assert out == ""
+    assert "--validate is capped at 9 qubits, got n=10" in err
 
 
 def test_evaluate_state_dump(capsys):
@@ -202,6 +222,12 @@ def test_evolve_rejects_single_qubit(capsys):
     status, _, err = run_cli(capsys, "evolve", "--qubits", "13", "--length", "3")
     assert status == EX_USAGE
     assert "between 2 and 12 qubits" in err
+    # 'max' is resolved only for a checked qubit count; the bound for 2000
+    # qubits overflows a float.
+    for command in (["evolve", "--length", "3"], ["sweep", "--lengths", "3"]):
+        status, _, err = run_cli(capsys, *command, "--qubits", "2000", "--target", "max")
+        assert status == EX_USAGE
+        assert "between 2 and 12 qubits, got n=2000" in err
     for flags in (("--length", "3", "--pop", "3000000000"), ("--length", str(10**12))):
         status, _, err = run_cli(capsys, "evolve", "--qubits", "3", "--gens", "0", *flags)
         assert status == EX_USAGE
@@ -210,6 +236,22 @@ def test_evolve_rejects_single_qubit(capsys):
                              "--gens", "1", "--tournament", str(10**12))
     assert status == EX_USAGE
     assert "tournament size must be in [1, population]" in err
+
+
+def test_negative_seeds_are_usage_errors(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "seed.cfg"
+    config.write_text("qubits = 3\nlength = 3\nseed = -1\n")
+    for command in (["evolve"], ["sweep", "--lengths", "1,2"]):
+        for env, flags in (({}, ["--qubits", "3", "--length", "3", "--seed", "-1"]),
+                           ({"ENTANGLER_SEED": "-1"}, ["--qubits", "3", "--length", "3"]),
+                           ({}, ["--config", str(config)])):
+            with monkeypatch.context() as patch:
+                for name, value in env.items():
+                    patch.setenv(name, value)
+                status, out, err = run_cli(capsys, *command, *flags, "--gens", "0")
+            assert status == EX_USAGE
+            assert out == ""
+            assert "RNG seed must be nonnegative, got -1" in err
 
 
 def test_evolve_csv_history(capsys):
@@ -332,6 +374,20 @@ def test_sweep_rejects_bad_lengths(capsys):
     assert status == EX_USAGE
 
 
+def test_sweep_checks_every_length_before_the_first_run(monkeypatch, capsys):
+    def no_ga(*args, **kwargs):
+        raise AssertionError("a GA ran")
+
+    monkeypatch.setattr(cli_module, "evolve", no_ga)
+    monkeypatch.setattr(evolve_module, "evolve", no_ga)
+    for lengths, message in (("8,8,0", "circuit length must be positive, got 0"),
+                             (f"8,{10**6}", "must be at most 1000000")):
+        status, out, err = run_cli(capsys, "sweep", "--qubits", "5", "--lengths", lengths)
+        assert status == EX_USAGE
+        assert out == ""
+        assert message in err
+
+
 # --- output files --------------------------------------------------------------
 
 
@@ -375,11 +431,15 @@ def fuzz_dir(tmp_path_factory):
     (path / "empty.qc").write_text("\n")
     (path / "binary.qc").write_bytes(b"\xff\xfe\x00H(0)")
     (path / "folder").mkdir()
+    (path / "run.cfg").write_text("qubits = 4\nlength = 5\ngates = H,CZ,T\nseed = 3\n")
+    (path / "seed.cfg").write_text("qubits = 3\nlength = 3\nseed = -1\n")
+    (path / "max.cfg").write_text("qubits = 2000\nlength = 3\ntarget = max\n")
+    (path / "bad.cfg").write_text("qubits = 3\npop = many\nlanguage = python\n")
     return path
 
 
-# Only trace, evaluate and catalog: no GA runs and no pool starts.  Qubit
-# counts stay at most 8 or above the scoring cap, so that --validate stays cheap.
+# trace, evaluate and catalog: no GA runs and no pool starts.  Qubit counts
+# stay at most 8 or above the scoring cap, so that --validate stays cheap.
 _FUZZ_VALUES = {
     "--circuit": ("ghz3.qc", "bad.qc", "empty.qc", "binary.qc", "folder", "missing.qc", "-"),
     "--catalog": ("ghz2", "ghz8", "ghz0", "ghz17", "circuit_ghz7", "psi99",
@@ -405,11 +465,49 @@ _FUZZ_ARGV = st.tuples(
 ).map(lambda parts: [*parts[0], *(word for option in parts[1] for word in option), *parts[2]])
 
 
-@given(argv=_FUZZ_ARGV)
-@settings(max_examples=100)
-def test_fuzzed_argv_ends_in_a_documented_exit_code(fuzz_dir, argv):
+# evolve and sweep: every command line ends in --gens 0 --pop 2 --workers 1,
+# so no pool starts and a run scores two circuits.  Qubit counts stay at most
+# 8 or above the cap; lengths run 1..8 or from 10^6 up, which the
+# population-genes cap refuses.
+_FUZZ_GA_TAIL = ("--gens", "0", "--pop", "2", "--workers", "1")
+_FUZZ_LENGTH = (st.integers(1, 8).map(str) | st.integers(1, 8).map(str) | st.integers(10**6, 10**40).map(str)
+                | st.sampled_from(("0", "-3", "x")))
+_FUZZ_GA_COMMAND = (st.tuples(st.just("evolve"), st.just("--length"), _FUZZ_LENGTH)
+                    | st.tuples(st.just("sweep"), st.just("--lengths"),
+                                st.lists(_FUZZ_LENGTH, max_size=4).map(",".join)))
+_FUZZ_GA_QUBITS = (st.integers(2, 8).map(str) | st.integers(2, 8).map(str) | st.integers(1000, 10**40).map(str)
+                   | st.sampled_from(("-2", "0", "1", "13", "2000")) | st.none())
+# Mostly values GAConfig takes, so that many runs get as far as a GA.
+_FUZZ_GA_OPTIONS = {
+    "--target": st.just("max") | st.sampled_from(("MAX", "nan", "inf", "-inf", "-1", "x")) | st.floats().map(str),
+    "--seed": (st.integers(0, 5).map(str) | st.integers(-5, -1).map(str) | st.integers(2**63, 10**40).map(str)
+               | st.just("-" + "9" * 30)),
+    "--gates": st.sampled_from(("H,CNOT", "h,cz,T", "X,CNOT", "S,Y,CZ", "FOO")),
+    "--mutation-rate": st.sampled_from(("0", "1", "0.5", "0.25", "nan", "-0.5")),
+    "--crossover-rate": st.sampled_from(("0", "0.9", "1", "0.5", "nan", "1.5")),
+    "--tournament": st.sampled_from(("1", "2", "1", "2", "9" * 30)),
+    "--elite": st.sampled_from(("1", "1", "1", "0")),
+    "--config": st.sampled_from(("run.cfg", "run.cfg", "seed.cfg", "max.cfg", "bad.cfg", "binary.qc",
+                                 "missing.cfg", "folder")),
+    "--format": st.sampled_from(("json", "csv", "json", "csv", "xml")),
+    "--out": st.sampled_from(("-", "out.txt", "-", "folder")),
+}
+# Each option appears or not, so that combinations such as a huge --qubits
+# with --target max come up often.  --qubits is left out a fifth of the
+# time (a --config file may give it); one arbitrary word comes rarely.
+_FUZZ_GA_ARGV = st.tuples(
+    _FUZZ_GA_COMMAND,
+    _FUZZ_GA_QUBITS.map(lambda qubits: [] if qubits is None else ["--qubits", qubits]),
+    st.fixed_dictionaries({}, optional=_FUZZ_GA_OPTIONS),
+    st.just([]) | st.just([]) | st.lists(_FUZZ_WORD, max_size=1),
+).map(lambda parts: [*parts[0], *parts[1], *(word for option in parts[2].items() for word in option),
+                     *parts[3], *_FUZZ_GA_TAIL])
+
+
+def _run_in(directory, argv):
+    """main(argv) run inside directory: its exit status and stderr."""
     cwd = os.getcwd()
-    os.chdir(fuzz_dir)
+    os.chdir(directory)
     err = io.StringIO()
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -419,5 +517,22 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(fuzz_dir, argv):
                 status = exc.code
     finally:
         os.chdir(cwd)
+    return status, err.getvalue()
+
+
+@given(argv=_FUZZ_ARGV)
+@settings(max_examples=100)
+def test_fuzzed_argv_ends_in_a_documented_exit_code(fuzz_dir, argv):
+    status, err = _run_in(fuzz_dir, argv)
     assert status in (EX_OK, EX_ERROR, EX_BUDGET, EX_USAGE, EX_PARSE)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+@given(argv=_FUZZ_GA_ARGV)
+@example(argv=["evolve", "--length", "3", "--qubits", "2000", "--target", "max", *_FUZZ_GA_TAIL])
+@example(argv=["sweep", "--lengths", "3", "--config", "max.cfg", *_FUZZ_GA_TAIL])
+@settings(max_examples=300)
+def test_fuzzed_ga_argv_ends_in_a_documented_exit_code(fuzz_dir, argv):
+    status, err = _run_in(fuzz_dir, argv)
+    assert status in (EX_OK, EX_ERROR, EX_BUDGET, EX_USAGE, EX_PARSE)
+    assert "Traceback" not in err

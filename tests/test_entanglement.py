@@ -59,6 +59,17 @@ def test_enumerate_cuts_rejects_single_qubit():
         enumerate_cuts(1)
 
 
+def test_cuts_scores_traces_and_gate_sets_take_one_qubit_range():
+    # Refused before anything is built: enumerate_cuts(20) alone would make
+    # 524,287 Cut objects.
+    for build in (enumerate_cuts, lambda n: total_entanglement(zero_state(n)),
+                  lambda n: entanglement_trace(Circuit(n, ())), lambda n: build_gate_set(n, ("H", "CNOT"))):
+        with pytest.raises(ValueError, match="entanglement needs at least 2 qubits, got n=1"):
+            build(1)
+        with pytest.raises(ValueError, match="scoring is capped at 12 qubits, got n=13"):
+            build(13)
+
+
 def test_cut_must_contain_qubit_zero_and_be_proper():
     with pytest.raises(ValueError, match="qubit 0"):
         Cut(frozenset({1}), 3)

@@ -250,6 +250,7 @@ def test_memo_stays_within_its_byte_bound_at_twelve_qubits(monkeypatch):
     dict(n=3, circuit_length=3, population_size=3_000_000_000),
     dict(n=3, circuit_length=10**12),
     dict(n=3, circuit_length=1001, population_size=1000),
+    dict(n=3, circuit_length=3, rng_seed=-1),
 ])
 def test_invalid_configs_are_rejected(kwargs):
     with pytest.raises(ValueError):
