@@ -18,6 +18,7 @@ its first scoring stored.  The memo dies with the run.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -60,18 +61,24 @@ class GateSet:
         return len(self.table)
 
 
-def build_gate_set(n: int, families: Sequence[str]) -> GateSet:
-    """Deterministic gate table: families in canonical kind order; within a
-    single-qubit family qubits ascend; within a two-qubit family ordered
-    pairs (i, j) run in lexicographic order.  Takes the qubit range that
-    scoring takes, since the circuits it encodes are only ever scored."""
-    _check_scored(n)
+def _check_families(families: Sequence[str]) -> set[str]:
+    """The upper-cased families, refused when empty or not all gate kinds."""
     wanted = {f.upper() for f in families}
     if not wanted:
         raise ValueError("at least one gate family is required")
     unknown = wanted.difference(GATE_KINDS)
     if unknown:
         raise ValueError(f"unknown gate families {sorted(unknown)}; expected a subset of {GATE_KINDS}")
+    return wanted
+
+
+def build_gate_set(n: int, families: Sequence[str]) -> GateSet:
+    """Deterministic gate table: families in canonical kind order; within a
+    single-qubit family qubits ascend; within a two-qubit family ordered
+    pairs (i, j) run in lexicographic order.  Takes the qubit range that
+    scoring takes, since the circuits it encodes are only ever scored."""
+    _check_scored(n)
+    wanted = _check_families(families)
     ordered = tuple(kind for kind in GATE_KINDS if kind in wanted)
     table: list[GateSpec] = []
     for kind in ordered:
@@ -82,16 +89,24 @@ def build_gate_set(n: int, families: Sequence[str]) -> GateSet:
     return GateSet(n, ordered, tuple(table))
 
 
-def decode(genes: Chromosome, gate_set: GateSet) -> Circuit:
-    """Translate genes into the circuit they index; gene 0 acts first."""
-    size = len(gate_set)
+def _placed(genes: Chromosome, gate_set: GateSet) -> list[GateSpec]:
+    """The table entries the genes index, in gene order; refuses any gene
+    outside the table."""
+    table = gate_set.table
+    size = len(table)
     picked = []
-    for pos, g in enumerate(genes):
+    # A population row becomes Python ints, cheaper to check than numpy scalars.
+    for pos, g in enumerate(genes.tolist() if isinstance(genes, np.ndarray) else genes):
         g = int(g)
         if not 0 <= g < size:
             raise ValueError(f"gene {g} at position {pos} outside the table range [0, {size - 1}]")
-        picked.append(gate_set.table[g])
-    return Circuit(gate_set.n, tuple(picked))
+        picked.append(table[g])
+    return picked
+
+
+def decode(genes: Chromosome, gate_set: GateSet) -> Circuit:
+    """Translate genes into the circuit they index; gene 0 acts first."""
+    return Circuit(gate_set.n, tuple(_placed(genes, gate_set)))
 
 
 def encode(circuit: Circuit, gate_set: GateSet) -> list[int]:
@@ -114,12 +129,13 @@ def fitness(genes: Chromosome, gate_set: GateSet, *, memo: dict[bytes, float] | 
     shared across calls; it returns the same value, only sooner for a state
     seen before.
     """
-    circuit = decode(genes, gate_set)
-    amps = np.zeros(1 << gate_set.n, dtype=complex)
+    n = gate_set.n
+    amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
-    for gate in circuit.gates:
-        _apply_gate_inplace(amps, gate, gate_set.n)
-    return _total_negativity(amps, gate_set.n, memo=memo)
+    # The table's gates are checked for n already; no Circuit is built.
+    for gate in _placed(genes, gate_set):
+        _apply_gate_inplace(amps, gate, n)
+    return _total_negativity(amps, n, memo=memo)
 
 
 @dataclass(frozen=True)
@@ -138,6 +154,7 @@ class GAConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(f.upper() for f in self.families))
+        _check_families(self.families)
         if not 2 <= self.n <= MAX_SCORED_QUBITS:
             raise ValueError(f"need between 2 and {MAX_SCORED_QUBITS} qubits, got n={self.n}")
         if self.circuit_length < 1:
@@ -160,6 +177,8 @@ class GAConfig:
             raise ValueError(f"generation budget must be nonnegative, got {self.max_generations}")
         if self.rng_seed < 0:
             raise ValueError(f"RNG seed must be nonnegative, got {self.rng_seed}")
+        if self.target_fitness is not None and not math.isfinite(self.target_fitness):
+            raise ValueError(f"target fitness must be finite, got {self.target_fitness}")
 
     @property
     def mutation_rate(self) -> float:
@@ -246,11 +265,10 @@ def _ranked(fits: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(fits)), -fits))
 
 
-def _tournament_pick(fits: np.ndarray, rng: np.random.Generator, size: int) -> int:
-    candidates = rng.integers(0, len(fits), size=size)
-    winner = int(candidates[0])
+def _tournament_pick(fits: list[float], rng: np.random.Generator, size: int) -> int:
+    candidates = rng.integers(0, len(fits), size=size).tolist()
+    winner = candidates[0]
     for c in candidates[1:]:
-        c = int(c)
         if fits[c] > fits[winner] or (fits[c] == fits[winner] and c < winner):
             winner = c
     return winner
@@ -263,16 +281,19 @@ def _breed(population: np.ndarray, fits: np.ndarray, config: GAConfig,
     replacement genes."""
     length = config.circuit_length
     children = [population[i].copy() for i in _ranked(fits)[: config.elite_count]]
+    # Tournaments compare Python floats: the same values, without a numpy
+    # scalar per comparison.
+    fit_list = fits.tolist()
     while len(children) < config.population_size:
-        first = population[_tournament_pick(fits, rng, config.tournament_size)]
-        second = population[_tournament_pick(fits, rng, config.tournament_size)]
+        first = population[_tournament_pick(fit_list, rng, config.tournament_size)]
+        second = population[_tournament_pick(fit_list, rng, config.tournament_size)]
         if length >= 2 and rng.random() < config.crossover_rate:
             point = int(rng.integers(1, length))
             child = np.concatenate([first[:point], second[point:]])
         else:
             child = first.copy()
         mask = rng.random(length) < config.mutation_rate
-        hits = int(mask.sum())
+        hits = np.count_nonzero(mask)
         if hits:
             child[mask] = rng.integers(0, table_size, size=hits)
         children.append(child)

@@ -63,3 +63,37 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
     return StateVector(n, amps)
+
+
+def reference_tournament_pick(fits: np.ndarray, rng: np.random.Generator, size: int) -> int:
+    """Tournament selection comparing numpy scalars; the lower index wins ties."""
+    candidates = rng.integers(0, len(fits), size=size)
+    winner = int(candidates[0])
+    for c in candidates[1:]:
+        c = int(c)
+        if fits[c] > fits[winner] or (fits[c] == fits[winner] and c < winner):
+            winner = c
+    return winner
+
+
+def reference_breed(population: np.ndarray, fits: np.ndarray, config,
+                    table_size: int, rng: np.random.Generator) -> np.ndarray:
+    """One GA generation drawn in the documented order, written with a numpy
+    scalar per tournament comparison and a summed mutation mask."""
+    length = config.circuit_length
+    ranked = np.lexsort((np.arange(len(fits)), -fits))
+    children = [population[i].copy() for i in ranked[: config.elite_count]]
+    while len(children) < config.population_size:
+        first = population[reference_tournament_pick(fits, rng, config.tournament_size)]
+        second = population[reference_tournament_pick(fits, rng, config.tournament_size)]
+        if length >= 2 and rng.random() < config.crossover_rate:
+            point = int(rng.integers(1, length))
+            child = np.concatenate([first[:point], second[point:]])
+        else:
+            child = first.copy()
+        mask = rng.random(length) < config.mutation_rate
+        hits = int(mask.sum())
+        if hits:
+            child[mask] = rng.integers(0, table_size, size=hits)
+        children.append(child)
+    return np.array(children)

@@ -238,6 +238,23 @@ def test_evolve_rejects_single_qubit(capsys):
     assert "tournament size must be in [1, population]" in err
 
 
+def test_unknown_gate_families_are_usage_errors(capsys):
+    for command in (["evolve", "--length", "3"], ["sweep", "--lengths", "2,3"]):
+        status, out, err = run_cli(capsys, *command, "--qubits", "3", "--gates", "H,FOO", "--gens", "0")
+        assert status == EX_USAGE
+        assert out == ""
+        assert "unknown gate families ['FOO']" in err
+
+
+def test_targets_that_are_not_finite_are_usage_errors(capsys):
+    for target in ("nan", "inf", "-inf", "NaN", "infinity"):
+        status, out, err = run_cli(capsys, "evolve", "--qubits", "3", "--length", "3",
+                                   "--gens", "20", "--seed", "1", f"--target={target}")
+        assert status == EX_USAGE, target
+        assert out == ""
+        assert "target fitness must be finite" in err
+
+
 def test_negative_seeds_are_usage_errors(tmp_path, capsys, monkeypatch):
     config = tmp_path / "seed.cfg"
     config.write_text("qubits = 3\nlength = 3\nseed = -1\n")

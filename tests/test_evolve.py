@@ -27,6 +27,8 @@ from entangler.evolve import (
 )
 from entangler.qsim import Circuit, GateSpec, run_circuit, zero_state
 
+from oracles import reference_breed
+
 # The package re-exports the function evolve under the submodule's name.
 evolve_module = importlib.import_module("entangler.evolve")
 
@@ -145,6 +147,15 @@ def test_fitness_equals_report_total_bit_for_bit(data, n):
     assert total_entanglement(state).total == fitness(genes, gs)
 
 
+@pytest.mark.parametrize("genes", [[4], [0, 9], [-1], [2, -3]])
+def test_fitness_refuses_genes_outside_the_table(genes):
+    gs = build_gate_set(2, ("H", "CNOT"))
+    with pytest.raises(ValueError, match="outside the table"):
+        fitness(genes, gs)
+    with pytest.raises(ValueError, match="outside the table"):
+        fitness(np.array(genes), gs)
+
+
 def test_fitness_is_pure():
     gs = build_gate_set(4, ("H", "CNOT"))
     genes = [3, 7, 11, 2, 9]
@@ -251,6 +262,12 @@ def test_memo_stays_within_its_byte_bound_at_twelve_qubits(monkeypatch):
     dict(n=3, circuit_length=10**12),
     dict(n=3, circuit_length=1001, population_size=1000),
     dict(n=3, circuit_length=3, rng_seed=-1),
+    dict(n=3, circuit_length=3, families=("FOO",)),
+    dict(n=3, circuit_length=3, families=("H", "cnot", "toffoli")),
+    dict(n=3, circuit_length=3, families=()),
+    dict(n=3, circuit_length=3, target_fitness=math.nan),
+    dict(n=3, circuit_length=3, target_fitness=math.inf),
+    dict(n=3, circuit_length=3, target_fitness=-math.inf),
 ])
 def test_invalid_configs_are_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -394,6 +411,32 @@ def test_history_nondecreasing_even_with_heavy_mutation():
                       per_gene_mutation_rate=1.0, rng_seed=3)
     history = evolve(config).best_history
     assert all(a <= b + 1e-12 for a, b in zip(history, history[1:]))
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_breed_equals_the_numpy_scalar_breed(data):
+    # Few distinct fitness values, so most tournaments end in ties.
+    population_size = data.draw(st.integers(2, 24))
+    length = data.draw(st.integers(1, 7))
+    config = GAConfig(
+        n=3, circuit_length=length, population_size=population_size,
+        elite_count=data.draw(st.integers(1, population_size - 1)),
+        tournament_size=data.draw(st.integers(1, population_size)),
+        crossover_rate=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+        per_gene_mutation_rate=data.draw(st.sampled_from([None, 0.0, 0.3, 1.0])))
+    levels = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.5, 17.5]), min_size=1, max_size=3))
+    fits = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=population_size,
+                                       max_size=population_size)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    table_size = 15
+    population = np.random.default_rng(seed + 1).integers(0, table_size, size=(population_size, length))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    children = _breed(population, fits, config, table_size, rng)
+    expected = reference_breed(population, fits, config, table_size, reference_rng)
+    assert children.dtype == expected.dtype
+    assert np.array_equal(children, expected)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_tournament_ties_go_to_the_lower_index():

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entangler.qsim import (
+    CNOT_ORDER_CACHE_SIZE,
     GATE_KINDS,
     GATE_MATRICES,
+    MAX_QUBITS,
     SINGLE_QUBIT_KINDS,
     TWO_QUBIT_KINDS,
     Circuit,
@@ -12,6 +14,7 @@ from entangler.qsim import (
     GateSpec,
     StateVector,
     _apply_gate_inplace,
+    _cnot_order,
     allclose_up_to_phase,
     apply_gate,
     format_circuit,
@@ -203,7 +206,7 @@ def _index_array_kernel(amps: np.ndarray, gate: GateSpec) -> None:
         amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_gate_kernel_equals_the_index_array_kernel_bit_for_bit(n):
     rng = np.random.default_rng(n)
     state = random_state(n, rng).amplitudes.copy()
@@ -219,6 +222,28 @@ def test_gate_kernel_equals_the_index_array_kernel_bit_for_bit(n):
         _apply_gate_inplace(fast, gate, n)
         _index_array_kernel(reference, gate)
         assert fast.tobytes() == reference.tobytes(), gate
+
+
+def test_cnot_orders_are_read_only_permutations():
+    order = _cnot_order(2, 0, 3)
+    assert order.tolist() == [0, 1, 2, 3, 5, 4, 7, 6]
+    assert not order.flags.writeable
+    with pytest.raises(ValueError):
+        order[0] = 1
+
+
+def test_cnot_order_cache_stays_within_its_byte_bound():
+    # The docstring's worst case: 240 orders of 2^16 intp entries, 126 MB.
+    largest = _cnot_order(0, 1, MAX_QUBITS).nbytes
+    assert largest == 2**MAX_QUBITS * np.dtype(np.intp).itemsize
+    assert _cnot_order.cache_info().maxsize == CNOT_ORDER_CACHE_SIZE == MAX_QUBITS * (MAX_QUBITS - 1)
+    assert CNOT_ORDER_CACHE_SIZE * largest <= 126e6
+    # More placements than the cache keeps: the oldest are evicted.
+    placements = [(c, t, n) for n in range(2, 11) for c in range(n) for t in range(n) if c != t]
+    assert len(placements) > CNOT_ORDER_CACHE_SIZE
+    for placement in placements:
+        _cnot_order(*placement)
+    assert _cnot_order.cache_info().currsize == CNOT_ORDER_CACHE_SIZE
 
 
 def test_nonzero_counts():
