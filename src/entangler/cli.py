@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .catalog import NamedEntry, catalog_entries, lookup
 from .entanglement import MAX_SCORED_QUBITS, entanglement_trace, max_entanglement_bound, total_entanglement
-from .evolve import GAConfig, _pool_size, evolve, sweep_configs
+from .evolve import GAConfig, _pool_size, evolve, length_sweep
 from .qsim import (
     Circuit,
     CircuitParseError,
@@ -48,6 +48,10 @@ _VALIDATE_TOL = 1e-10
 # 2^n x 2^n matrix per cut, 7 s in all at n = 9 and 95 s at n = 10 (2-vCPU
 # host, one BLAS thread), about ten times more per further qubit.
 MAX_VALIDATED_QUBITS = 9
+
+# Largest --circuit or --config file read, in bytes.  A larger one is refused
+# before any more of it is read, so no input file can exhaust memory.
+MAX_INPUT_BYTES = 1 << 20
 
 # Every GA option once, dest -> (type, GAConfig field, help).  The table makes
 # both the evolve/sweep flags and the keys a --config file may set.
@@ -142,25 +146,29 @@ def _resolve_seed(flag_value: int | None) -> int:
     return 0
 
 
-def _parse_families(text: str) -> tuple[str, ...]:
-    families = tuple(f.strip().upper() for f in text.split(",") if f.strip())
-    if not families:
-        raise _UsageError(f"no gate families in {text!r}")
-    return families
+def _read_input(path: str) -> str:
+    """A --circuit or --config file's text as open(path) decodes it, if readable and small."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
+    except OSError as exc:
+        raise _UsageError(f"cannot read {path}: {exc}") from None
+    if len(data) > MAX_INPUT_BYTES:
+        raise _UsageError(f"{path} is larger than {MAX_INPUT_BYTES} bytes")
+    return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
 def _read_config_file(path: str) -> dict:
     """Flat key=value file; '#' starts a comment.  CLI flags win on conflict."""
     values: dict[str, str] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(_read_input(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -188,7 +196,7 @@ def _build_ga_config(args) -> GAConfig:
         raise _UsageError("--qubits and --length are required (by flag or config file)")
     if n < 2:
         raise _UsageError(f"entanglement needs at least 2 qubits, got {n}")
-    fields["families"] = _parse_families(fields["families"] or "H,CNOT")
+    fields["families"] = tuple(f.strip() for f in (fields["families"] or "H,CNOT").split(",") if f.strip())
     fields["rng_seed"] = _resolve_seed(fields["rng_seed"])
     target = fields["target_fitness"]
     if target is not None:
@@ -235,27 +243,20 @@ def cmd_evolve(args) -> int:
     return EX_OK if target is None or result.reached(target) else EX_BUDGET
 
 
-def _load_subject(args) -> tuple[str, Circuit | None, StateVector]:
-    """Resolve --circuit/--catalog into (label, circuit or None, state)."""
+def _load_subject(args) -> tuple[str, Circuit | StateVector]:
+    """Resolve --circuit/--catalog into (label, circuit or state), unsimulated."""
     if (args.circuit is None) == (args.catalog is None):
         raise _UsageError("pass exactly one of --circuit or --catalog")
     if args.catalog is not None:
         entry = _catalog_entry(args.catalog)
-        if entry.kind == "circuit":
-            circuit = entry.payload
-            return entry.name, circuit, run_circuit(circuit, zero_state(circuit.n))
-        return entry.name, None, entry.payload
-    try:
-        with open(args.circuit) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {args.circuit}: {exc}") from None
+        return entry.name, entry.payload
+    text = _read_input(args.circuit)
     if not text.strip() and args.qubits is None:
         raise _UsageError(f"{args.circuit} holds an empty circuit; pass --qubits")
     circuit = parse_circuit(text, n=args.qubits)
     if circuit.n < 2:
         raise _UsageError(f"entanglement needs at least 2 qubits, got {circuit.n}")
-    return args.circuit, circuit, run_circuit(circuit, zero_state(circuit.n))
+    return args.circuit, circuit
 
 
 def _validated_report(state: StateVector):
@@ -272,9 +273,10 @@ def _validated_report(state: StateVector):
 
 
 def cmd_evaluate(args) -> int:
-    label, circuit, state = _load_subject(args)
+    label, subject = _load_subject(args)
+    circuit_text = format_circuit(subject) if isinstance(subject, Circuit) else None
+    state = subject if circuit_text is None else run_circuit(subject, zero_state(subject.n))
     report = _validated_report(state) if args.validate else total_entanglement(state)
-    circuit_text = None if circuit is None else format_circuit(circuit)
     record = {
         "command": "evaluate",
         "version": __version__,
@@ -301,8 +303,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    label, circuit, _state = _load_subject(args)
-    if circuit is None:
+    label, circuit = _load_subject(args)
+    if not isinstance(circuit, Circuit):
         raise _UsageError(f"{label} is a state; trace needs a circuit")
     header = ["step", "gate", "total"]
     rows = [[step, "" if step == 0 else str(circuit.gates[step - 1]), value]
@@ -340,14 +342,11 @@ def cmd_sweep(args) -> int:
         lengths = [int(v) for v in args.lengths.split(",") if v.strip()]
     except ValueError:
         raise _UsageError(f"--lengths must be comma-separated integers, got {args.lengths!r}") from None
-    if not lengths:
-        raise _UsageError("--lengths is empty")
+    started = _utc_now()
     try:
-        configs = sweep_configs(config, lengths)
+        rows = length_sweep(config, lengths, workers=args.workers)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    started = _utc_now()
-    rows = [(sub.circuit_length, evolve(sub, workers=args.workers).best_fitness) for sub in configs]
     finished = _utc_now()
     header = ["length", "best_fitness"]
     record = {

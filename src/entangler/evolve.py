@@ -7,9 +7,10 @@ produces from |00...0>.
 
 Reproducibility contract: one master seed drives a single numpy Generator,
 and random draws happen in a fixed documented order (see ``evolve``).
-Fitness is pure and consumes no randomness, so evaluations may be farmed out
-to worker processes; results are merged back in population order before any
-further draw, which keeps runs bit-identical for any worker count.
+Fitness is pure and consumes no randomness, so each generation may be split
+into one slice of rows per worker process; the scores are merged back in
+population order before any further draw, which keeps runs bit-identical
+for any worker count.
 
 Many genomes decode to the same state, so one run scores each distinct state
 once: ``evolve`` gives ``fitness`` a fresh state -> score memo per call (and
@@ -247,17 +248,20 @@ def _pool_init(n: int, families: tuple[str, ...]) -> None:
     _POOL_MEMO = {}
 
 
-def _pool_fitness(genes: list[int]) -> float:
-    return fitness(genes, _POOL_GATE_SET, memo=_POOL_MEMO)
+def _fitnesses(rows: np.ndarray, gate_set: GateSet, memo: dict[bytes, float]) -> np.ndarray:
+    return np.array([fitness(row, gate_set, memo=memo) for row in rows])
+
+
+def _pool_evaluate(rows: np.ndarray) -> np.ndarray:
+    return _fitnesses(rows, _POOL_GATE_SET, _POOL_MEMO)
 
 
 def _evaluate(population: np.ndarray, gate_set: GateSet, memo: dict[bytes, float],
               pool: ProcessPoolExecutor | None, workers: int) -> np.ndarray:
+    """Fitness per row, in population order; each pool worker scores one slice."""
     if pool is None:
-        return np.array([fitness(row, gate_set, memo=memo) for row in population])
-    chunk = max(1, len(population) // (4 * workers))
-    rows = [row.tolist() for row in population]
-    return np.array(list(pool.map(_pool_fitness, rows, chunksize=chunk)))
+        return _fitnesses(population, gate_set, memo)
+    return np.concatenate(list(pool.map(_pool_evaluate, np.array_split(population, workers))))
 
 
 def _ranked(fits: np.ndarray) -> np.ndarray:
@@ -307,11 +311,12 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
     population, row by row as one block; (2) per bred child, the draws listed
     in ``_breed``.  Elites are copied before any draw for the generation.
     Every generation, the random initial one included, runs one loop body:
-    evaluate, keep the best, record the histories, then stop or breed.
-    The loop stops once the best fitness reaches target_fitness (within
-    1e-9) or after max_generations breeding rounds.  workers > 1 starts a
-    pool of at most min(workers, population_size, CPU count) processes;
-    more than MAX_WORKERS is refused before anything starts.
+    evaluate, record the histories, then stop or breed.  The loop stops once
+    the best fitness reaches target_fitness (within 1e-9) or after
+    max_generations breeding rounds; the best individual is then the top of
+    the last population.  workers > 1 starts a pool of at most
+    min(workers, population_size, CPU count) processes, each scoring one
+    slice of every generation; more than MAX_WORKERS is refused first.
     """
     processes = _pool_size(workers, config.population_size)
     gate_set = build_gate_set(config.n, config.families)
@@ -324,26 +329,25 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
                 max_workers=processes, initializer=_pool_init,
                 initargs=(config.n, config.families))
         population = rng.integers(0, len(gate_set), size=(config.population_size, config.circuit_length))
-        best_fitness, best_genes = -np.inf, None
         best_history, mean_history = [], []
         while True:
             fits = _evaluate(population, gate_set, memo, pool, processes)
-            top = int(_ranked(fits)[0])
-            if fits[top] > best_fitness:
-                best_fitness = float(fits[top])
-                best_genes = population[top].copy()
             best_history.append(float(fits.max()))
             mean_history.append(float(fits.mean()))
-            if len(best_history) > config.max_generations or _reached(best_fitness, config.target_fitness):
+            if len(best_history) > config.max_generations or _reached(best_history[-1], config.target_fitness):
                 break
             population = _breed(population, fits, config, len(gate_set), rng)
     finally:
         if pool is not None:
             pool.shutdown()
+    # GAConfig keeps at least one elite, and _breed copies the best (lowest
+    # index among ties) to row 0 unchanged, so row 0 holds the best so far and
+    # np.argmax of the last population is the first individual to score it.
+    best_genes = population[int(np.argmax(fits))]
     return EvolutionResult(
         best_genes=tuple(int(g) for g in best_genes),
         best_circuit=decode(best_genes, gate_set),
-        best_fitness=best_fitness,
+        best_fitness=best_history[-1],
         best_history=tuple(best_history),
         mean_history=tuple(mean_history),
         evaluations=config.population_size * len(best_history),
@@ -357,16 +361,11 @@ def sweep_seed(base_seed: int, length: int) -> int:
     return int(np.random.SeedSequence([base_seed, length]).generate_state(1)[0])
 
 
-def sweep_configs(config: GAConfig, lengths: Sequence[int]) -> list[GAConfig]:
-    """One config per circuit length, each with its own sub-seed.  Every one
-    is built, and so checked, before the caller runs any of them."""
+def length_sweep(config: GAConfig, lengths: Sequence[int], workers: int = 1) -> list[tuple[int, float]]:
+    """Best fitness per circuit length, each length with its own sub-seed.
+    Every sub-config is built, and so checked, before the first GA runs."""
     if not lengths:
         raise ValueError("need at least one length to sweep")
     configs = [replace(config, circuit_length=int(length)) for length in lengths]
-    return [replace(sub, rng_seed=sweep_seed(config.rng_seed, sub.circuit_length)) for sub in configs]
-
-
-def length_sweep(config: GAConfig, lengths: Sequence[int], workers: int = 1) -> list[tuple[int, float]]:
-    """Best fitness per circuit length; no length runs unless all are valid."""
-    return [(sub.circuit_length, evolve(sub, workers=workers).best_fitness)
-            for sub in sweep_configs(config, lengths)]
+    configs = [replace(sub, rng_seed=sweep_seed(config.rng_seed, sub.circuit_length)) for sub in configs]
+    return [(sub.circuit_length, evolve(sub, workers=workers).best_fitness) for sub in configs]

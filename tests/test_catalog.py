@@ -22,6 +22,7 @@ from entangler.qsim import (
     apply_gate,
     format_circuit,
     nonzero_coefficient_count,
+    parse_circuit,
     run_circuit,
     zero_state,
 )
@@ -73,6 +74,23 @@ def test_circuit_6a_gate_census():
     kinds = [g.kind for g in named_circuit("circuit_6a").gates]
     assert kinds.count("H") == 5
     assert kinds.count("CNOT") == 8
+
+
+# One gate fewer than circuit_6a's 13: a breadth-first search over H+CNOT
+# stabilizer states first meets the six-qubit ceiling at depth 12.
+TWELVE_GATE_SIX_QUBIT_CIRCUIT = ("H(0); H(1); CNOT(0,2); H(0); CNOT(0,3); CNOT(0,4); "
+                                 "CNOT(1,0); H(0); CNOT(1,5); CNOT(2,1); CNOT(1,3); CNOT(0,1)")
+
+
+def test_twelve_gates_reach_the_six_qubit_ceiling():
+    circuit = parse_circuit(TWELVE_GATE_SIX_QUBIT_CIRCUIT, n=6)
+    assert len(circuit) == 12
+    report = total_entanglement(run_circuit(circuit, zero_state(6)))
+    assert abs(report.total - 60.5) < 1e-9
+    ceilings = {1: 0.5, 2: 1.5, 3: 3.5}
+    assert {k: len(v) for k, v in report.contributions_by_size().items()} == {1: 6, 2: 15, 3: 10}
+    for cut in report.per_cut:
+        assert abs(cut.contribution - ceilings[cut.cut.smaller_side]) < 1e-9, cut
 
 
 def test_ghz_circuit_structure():

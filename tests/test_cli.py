@@ -5,6 +5,7 @@ import json
 import os
 import re
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -403,6 +404,39 @@ def test_sweep_checks_every_length_before_the_first_run(monkeypatch, capsys):
         assert status == EX_USAGE
         assert out == ""
         assert message in err
+
+
+# --- input files -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", [["evaluate", "--circuit"], ["trace", "--circuit"], ["evolve", "--config"]],
+                         ids=" ".join)
+def test_input_files_are_read_up_to_a_fixed_cap(command, tmp_path, capsys):
+    cap = cli_module.MAX_INPUT_BYTES
+    at_cap = tmp_path / "at_cap"
+    head = b"H(0); CNOT(0,1)\n" if command[1] == "--circuit" else b"# padded with spaces\n"
+    at_cap.write_bytes(head + b" " * (cap - len(head)))
+    status, _, err = run_cli(capsys, *command, str(at_cap), "--qubits", "2",
+                             *(["--length", "1", "--gens", "0", "--pop", "2"] if command[0] == "evolve" else []))
+    assert status == EX_OK, err
+    over = tmp_path / "over"
+    over.write_bytes(at_cap.read_bytes() + b"\n")
+    for path in (str(over), *(["/dev/zero"] if os.path.exists("/dev/zero") else [])):
+        tracemalloc.start()
+        try:
+            status, out, err = run_cli(capsys, *command, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == EX_USAGE
+        assert out == ""
+        assert f"{path} is larger than {cap} bytes" in err
+        assert "Traceback" not in err
+        assert peak < 2 * cap
+    for path in (tmp_path / "missing", tmp_path):
+        status, out, err = run_cli(capsys, *command, str(path))
+        assert status == EX_USAGE
+        assert f"cannot read {path}" in err
 
 
 # --- output files --------------------------------------------------------------

@@ -370,6 +370,54 @@ def test_too_many_workers_are_refused_before_any_pool(spy_pool, capsys):
     assert spy_pool == []
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_best_individual_is_the_first_to_score_the_best(workers, data):
+    # The best individual is read off the last population; recompute it the
+    # explicit way, from every generation's (population, fits): a scan in
+    # generation then row order, keeping only strict improvements.
+    population_size = data.draw(st.integers(2, 20))
+    n = data.draw(st.integers(2, 4))
+    families = data.draw(st.sampled_from([("H", "CNOT"), ("H", "CNOT"), ("X", "CZ"), ("H", "T", "CNOT")]))
+    config = GAConfig(
+        n=n, circuit_length=data.draw(st.integers(1, 5)), families=families,
+        population_size=population_size,
+        elite_count=data.draw(st.integers(1, min(3, population_size - 1))),
+        tournament_size=data.draw(st.integers(1, min(5, population_size))),
+        crossover_rate=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
+        per_gene_mutation_rate=data.draw(st.sampled_from([None, 0.0, 0.3, 1.0])),
+        max_generations=data.draw(st.integers(0, 8)),
+        target_fitness=data.draw(st.sampled_from([None, None, 1.0, 1.5])),
+        rng_seed=data.draw(st.integers(0, 2**32 - 1)))
+    records = []
+    evaluate = evolve_module._evaluate
+
+    def recorded(population, *rest):
+        fits = evaluate(population, *rest)
+        records.append((population.copy(), fits.copy()))
+        return fits
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolve_module, "_evaluate", recorded)
+        mp.setattr(_SpyPool, "sizes", [])
+        mp.setattr(evolve_module, "ProcessPoolExecutor", _SpyPool)
+        mp.setattr(evolve_module, "_POOL_GATE_SET", None)
+        mp.setattr(evolve_module, "_POOL_MEMO", None)
+        mp.setattr(evolve_module.os, "cpu_count", lambda: 8)
+        result = evolve(config, workers=workers)
+        assert _SpyPool.sizes == ([] if workers == 1 else [min(workers, population_size)])
+    assert len(records) == len(result.best_history)
+    best_fitness, best_genes = -math.inf, None
+    for population, fits in records:
+        for row, value in zip(population, fits):
+            if value > best_fitness:
+                best_fitness, best_genes = float(value), tuple(int(g) for g in row)
+    assert result.best_genes == best_genes
+    assert result.best_fitness == best_fitness
+    assert fitness(result.best_genes, build_gate_set(n, families)) == result.best_fitness
+
+
 def test_ghz3_target_reached_quickly():
     config = GAConfig(n=3, circuit_length=3, max_generations=50, target_fitness=1.5, rng_seed=1)
     result = evolve(config)
