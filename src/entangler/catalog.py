@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .entanglement import _check_scored
 from .qsim import MAX_QUBITS, Circuit, GateSpec, StateVector, parse_circuit
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -30,26 +31,17 @@ class NamedEntry:
     source: str
 
 
-def _ghz_size_error(got: object) -> ValueError:
-    return ValueError(f"GHZ qubit count must be in [2, {MAX_QUBITS}], got {got}")
-
-
-def _check_ghz_size(n: int) -> None:
-    if not 2 <= n <= MAX_QUBITS:
-        raise _ghz_size_error(n)
-
-
 def ghz_circuit(n: int) -> Circuit:
     """n-gate preparation of the n-qubit GHZ state: H on the top qubit, then
     CNOTs fanning out from it, targets descending."""
-    _check_ghz_size(n)
+    _check_scored(n)
     gates = [GateSpec("H", (n - 1,))] + [GateSpec("CNOT", (n - 1, m)) for m in range(n - 2, -1, -1)]
     return Circuit(n, tuple(gates))
 
 
 def ghz_state(n: int) -> StateVector:
     """(|00...0> + |11...1>)/sqrt(2)."""
-    _check_ghz_size(n)
+    _check_scored(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = _SQRT2_INV
     amps[-1] = _SQRT2_INV
@@ -141,7 +133,7 @@ def lookup(name: str) -> NamedEntry:
         digits = m.group(1)
         if len(digits) > 9:
             # Out of range for sure, and int() refuses more than 4300 digits.
-            raise _ghz_size_error(f"a {len(digits)}-digit number")
+            raise ValueError(f"scoring is capped at {MAX_QUBITS} qubits, got an n of {len(digits)} digits")
         n = int(digits)
         if key.startswith("circuit_"):
             kind, payload, source = "circuit", ghz_circuit(n), f"GHZ preparation, {n} qubits"

@@ -21,9 +21,10 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .catalog import NamedEntry, catalog_entries, lookup
-from .entanglement import MAX_SCORED_QUBITS, entanglement_trace, max_entanglement_bound, total_entanglement
+from .entanglement import _check_scored, entanglement_trace, max_entanglement_bound, total_entanglement
 from .evolve import GAConfig, _pool_size, evolve, length_sweep
 from .qsim import (
+    MAX_QUBITS,
     Circuit,
     CircuitParseError,
     StateVector,
@@ -49,6 +50,11 @@ _VALIDATE_TOL = 1e-10
 # host, one BLAS thread), about ten times more per further qubit.
 MAX_VALIDATED_QUBITS = 9
 
+# Most cut rescorings trace takes on: each two-qubit gate on n qubits
+# rescores 2^(n-2) cuts, about 0.43 ms each at n = 12 (2-vCPU Xeon host), so
+# the cap is about one minute of work.  A larger circuit exits 64 unscored.
+MAX_TRACE_CUTS = 1 << 17
+
 # Largest --circuit or --config file read, in bytes.  A larger one is refused
 # before any more of it is read, so no input file can exhaust memory.
 MAX_INPUT_BYTES = 1 << 20
@@ -56,7 +62,7 @@ MAX_INPUT_BYTES = 1 << 20
 # Every GA option once, dest -> (type, GAConfig field, help).  The table makes
 # both the evolve/sweep flags and the keys a --config file may set.
 _GA_OPTIONS = {
-    "qubits": (int, "n", f"number of qubits, 2 to {MAX_SCORED_QUBITS}"),
+    "qubits": (int, "n", f"number of qubits, 2 to {MAX_QUBITS}"),
     "gates": (str, "families", "comma-separated gate families, default H,CNOT"),
     "pop": (int, "population_size", "population size"),
     "gens": (int, "max_generations", "generation budget"),
@@ -194,8 +200,6 @@ def _build_ga_config(args) -> GAConfig:
     n = fields["n"]
     if n is None or fields["circuit_length"] is None:
         raise _UsageError("--qubits and --length are required (by flag or config file)")
-    if n < 2:
-        raise _UsageError(f"entanglement needs at least 2 qubits, got {n}")
     fields["families"] = tuple(f.strip() for f in (fields["families"] or "H,CNOT").split(",") if f.strip())
     fields["rng_seed"] = _resolve_seed(fields["rng_seed"])
     target = fields["target_fitness"]
@@ -228,7 +232,6 @@ def cmd_evolve(args) -> int:
         "started": started,
         "finished": finished,
         "config": config.to_dict(),
-        "rng_seed": config.rng_seed,
         # The processes evolve() started, 1 for a serial run.
         "workers": _pool_size(args.workers, config.population_size) or 1,
         "result": {
@@ -254,8 +257,10 @@ def _load_subject(args) -> tuple[str, Circuit | StateVector]:
     if not text.strip() and args.qubits is None:
         raise _UsageError(f"{args.circuit} holds an empty circuit; pass --qubits")
     circuit = parse_circuit(text, n=args.qubits)
-    if circuit.n < 2:
-        raise _UsageError(f"entanglement needs at least 2 qubits, got {circuit.n}")
+    try:
+        _check_scored(circuit.n)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     return args.circuit, circuit
 
 
@@ -306,6 +311,10 @@ def cmd_trace(args) -> int:
     label, circuit = _load_subject(args)
     if not isinstance(circuit, Circuit):
         raise _UsageError(f"{label} is a state; trace needs a circuit")
+    cuts = sum(len(gate.args) == 2 for gate in circuit.gates) << (circuit.n - 2)
+    if cuts > MAX_TRACE_CUTS:
+        raise _UsageError(f"trace is capped at {MAX_TRACE_CUTS} cut rescorings, "
+                          f"and {label} would take {cuts}")
     header = ["step", "gate", "total"]
     rows = [[step, "" if step == 0 else str(circuit.gates[step - 1]), value]
             for step, value in entanglement_trace(circuit)]

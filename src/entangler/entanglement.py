@@ -30,8 +30,8 @@ and a two-qubit gate on (a, b) changes only the half of the cuts that
 separate a from b; ``_cut_negativities`` fills just those, with one stacked
 SVD per cut size over their gathers.
 
-Every scoring entry point, and ``enumerate_cuts``, takes n from 2 to
-MAX_SCORED_QUBITS (``_check_scored``) and refuses any other n before it
+Every scoring entry point, and everything that builds cuts, takes n from 2
+to qsim.MAX_QUBITS (``_check_scored``) and refuses any other n before it
 allocates anything: 64 MiB of gather matrices or a 4096 x 4096 density
 matrix at n = 12, and four times as much per extra qubit.
 """
@@ -43,14 +43,11 @@ from math import comb
 
 import numpy as np
 
-from .qsim import Circuit, StateVector, _apply_gate_inplace, zero_state
+from .qsim import MAX_QUBITS, Circuit, StateVector, _apply_gate_inplace, zero_state
 
 # Eigenvalues above this (tiny, negative) threshold count as zero so that
 # solver noise cannot accumulate across dozens of cuts.
 NEGATIVE_EIGENVALUE_TOL = -1e-12
-
-# Largest qubit count either path scores (see the module docstring).
-MAX_SCORED_QUBITS = 12
 
 # A score memo (see _total_negativity) holds at most this many bytes: each
 # entry is charged its 16 * 2^n key bytes plus MEMO_ENTRY_OVERHEAD for the
@@ -73,8 +70,7 @@ class Cut:
     def __post_init__(self):
         members = frozenset(int(q) for q in self.members)
         object.__setattr__(self, "members", members)
-        if self.n < 2:
-            raise ValueError(f"cuts need at least 2 qubits, got n={self.n}")
+        _check_scored(self.n)
         if 0 not in members:
             raise ValueError(f"canonical cuts contain qubit 0, got {sorted(members)}")
         if not 1 <= len(members) <= self.n - 1:
@@ -133,11 +129,11 @@ class EntanglementReport:
 
 
 def _check_scored(n: int) -> None:
-    """Refuse a qubit count that has no cut or that scoring does not take."""
+    """The package's one qubit-range check: refuse an n with no cut or above MAX_QUBITS."""
     if n < 2:
         raise ValueError(f"entanglement needs at least 2 qubits, got n={n}")
-    if n > MAX_SCORED_QUBITS:
-        raise ValueError(f"scoring is capped at {MAX_SCORED_QUBITS} qubits, got n={n}")
+    if n > MAX_QUBITS:
+        raise ValueError(f"scoring is capped at {MAX_QUBITS} qubits, got n={n}")
 
 
 def enumerate_cuts(n: int) -> list[Cut]:
@@ -239,8 +235,7 @@ def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 def partial_transpose_spectrum(state: StateVector, cut: Cut) -> np.ndarray:
     """Eigenvalues (ascending) of the partially transposed density matrix."""
-    _check_cut(state, cut)
-    _check_scored(state.n)
+    _check_cut(state, cut)  # Cut has checked the qubit range
     return hermitian_eigenvalues(_partial_transpose(state.amplitudes, state.n, cut.members))
 
 
@@ -320,8 +315,7 @@ def max_entanglement_bound(n: int) -> float:
     whose marginals are all completely mixed; it is attained for n = 3, 5, 6
     but not for n = 4.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits, got n={n}")
+    _check_scored(n)
     total = 0.0
     for size in range(1, n):
         k = min(size, n - size)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entanglement import MAX_SCORED_QUBITS, _check_scored, _total_negativity
+from .entanglement import _check_scored, _total_negativity
 from .qsim import GATE_KINDS, SINGLE_QUBIT_KINDS, Circuit, GateSpec, _apply_gate_inplace, format_circuit
 
 # A chromosome is any sequence of gene integers; arrays, lists and tuples all work.
@@ -156,8 +156,7 @@ class GAConfig:
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(f.upper() for f in self.families))
         _check_families(self.families)
-        if not 2 <= self.n <= MAX_SCORED_QUBITS:
-            raise ValueError(f"need between 2 and {MAX_SCORED_QUBITS} qubits, got n={self.n}")
+        _check_scored(self.n)
         if self.circuit_length < 1:
             raise ValueError(f"circuit length must be positive, got {self.circuit_length}")
         if self.population_size < 2:
@@ -200,7 +199,6 @@ class EvolutionResult:
     best_history: tuple[float, ...]
     mean_history: tuple[float, ...]
     evaluations: int
-    rng_seed: int
     config: GAConfig
 
     @property
@@ -220,8 +218,6 @@ class EvolutionResult:
             "mean_history": list(self.mean_history),
             "evaluations": self.evaluations,
             "generations": self.generations,
-            "rng_seed": self.rng_seed,
-            "config": self.config.to_dict(),
         }
 
 
@@ -351,7 +347,6 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
         best_history=tuple(best_history),
         mean_history=tuple(mean_history),
         evaluations=config.population_size * len(best_history),
-        rng_seed=config.rng_seed,
         config=config,
     )
 
@@ -363,9 +358,12 @@ def sweep_seed(base_seed: int, length: int) -> int:
 
 def length_sweep(config: GAConfig, lengths: Sequence[int], workers: int = 1) -> list[tuple[int, float]]:
     """Best fitness per circuit length, each length with its own sub-seed.
-    Every sub-config is built, and so checked, before the first GA runs."""
+    Every sub-config is built, and so checked, before the first GA runs; a
+    repeated length is refused after that, since it would rerun one GA."""
     if not lengths:
         raise ValueError("need at least one length to sweep")
     configs = [replace(config, circuit_length=int(length)) for length in lengths]
     configs = [replace(sub, rng_seed=sweep_seed(config.rng_seed, sub.circuit_length)) for sub in configs]
+    if len({sub.circuit_length for sub in configs}) < len(configs):
+        raise ValueError(f"each length may be swept once, got {[sub.circuit_length for sub in configs]}")
     return [(sub.circuit_length, evolve(sub, workers=workers).best_fitness) for sub in configs]

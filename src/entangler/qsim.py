@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_QUBITS = 16
+# The package's one qubit cap, for simulation, cuts and scores alike.
+MAX_QUBITS = 12
 
 SINGLE_QUBIT_KINDS = ("H", "X", "Y", "Z", "S", "T")
 TWO_QUBIT_KINDS = ("CNOT", "CZ")
@@ -117,7 +118,7 @@ class StateVector:
 
 
 def zero_state(n: int) -> StateVector:
-    """|00...0> on n qubits.  The hard cap guards against runaway memory."""
+    """|00...0> on n qubits; n = 1 simulates, though it has no cut to score."""
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     amps = np.zeros(1 << n, dtype=complex)
@@ -134,8 +135,7 @@ def _cnot_order(control: int, target: int, n: int) -> np.ndarray:
     """Read-only permutation with amps[order] = CNOT(control, target) amps.
 
     Worst case: each order holds 2^n intp entries, so a full cache of
-    MAX_QUBITS = 16 qubit orders takes 240 * 2^16 * 8 bytes = 126 MB.  A GA
-    run at n <= 12 needs at most 132 orders of at most 32 KB each.  The
+    MAX_QUBITS = 12 qubit orders takes 132 * 2^12 * 8 bytes = 4.3 MB.  The
     entries are intp because numpy casts any other index dtype to intp on
     every gather, which makes a gather 3.5 times as slow at n = 4.
     """

@@ -222,8 +222,8 @@ def test_unknown_names_raise_lookup_errors():
     tracemalloc.start()
     try:
         # A name past int()'s 4300-digit limit gets the same range error.
-        for name in ("ghz17", "ghz40", "circuit_ghz40", "ghz" + "9" * 5000):
-            with pytest.raises(ValueError, match="GHZ qubit count"):
+        for name in ("ghz13", "ghz17", "ghz40", "circuit_ghz40", "ghz" + "9" * 5000):
+            with pytest.raises(ValueError, match="scoring is capped at 12 qubits"):
                 lookup(name)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

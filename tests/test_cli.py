@@ -101,12 +101,29 @@ def test_evaluate_unknown_catalog_name(capsys):
     assert "unknown catalog name" in err
     status, _, err = run_cli(capsys, "evaluate", "--catalog", "ghz40")
     assert status == EX_ERROR
-    assert err.startswith("entangler: error: GHZ qubit count")
+    assert err.startswith("entangler: error: scoring is capped at 12 qubits, got n=40")
     # Past int()'s 4300-digit limit: the same range error, without the digits.
     status, _, err = run_cli(capsys, "evaluate", "--catalog", "ghz" + "9" * 5000)
     assert status == EX_ERROR
-    assert err.startswith("entangler: error: GHZ qubit count must be in [2, 16]")
+    assert err.startswith("entangler: error: scoring is capped at 12 qubits, got an n of 5000 digits")
     assert len(err) < 200
+
+
+def test_evaluate_refuses_unscorable_circuit_files_before_simulating(monkeypatch, tmp_path, capsys):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a circuit was simulated")
+
+    monkeypatch.setattr(cli_module, "run_circuit", no_simulation)
+    path = tmp_path / "h12.qc"
+    path.write_text("H(12)\n")
+    status, out, err = run_cli(capsys, "evaluate", "--circuit", str(path))
+    assert status == EX_USAGE
+    assert out == ""
+    assert "scoring is capped at 12 qubits, got n=13" in err
+    path.write_text("H(0)\n")
+    status, out, err = run_cli(capsys, "evaluate", "--circuit", str(path))
+    assert status == EX_USAGE
+    assert "entanglement needs at least 2 qubits, got n=1" in err
 
 
 def test_evaluate_csv_per_cut_table(capsys):
@@ -142,8 +159,32 @@ def test_trace_empty_circuit(tmp_path, capsys):
     assert len(rows) == 2
     assert float(rows[1][2]) == 0.0
     status, _, err = run_cli(capsys, "trace", "--circuit", str(path), "--qubits", "13")
-    assert status == EX_ERROR
+    assert status == EX_USAGE
     assert "capped at 12 qubits" in err
+
+
+def test_trace_work_is_bounded_before_any_scoring(monkeypatch, tmp_path, capsys):
+    traced = []
+
+    def fake_trace(circuit):
+        traced.append(circuit)
+        return [(0, 0.0)]
+
+    monkeypatch.setattr(cli_module, "entanglement_trace", fake_trace)
+    # At n = 12 each CNOT rescores 2^10 cuts, so the cap admits 128 of them;
+    # single-qubit gates rescore none.
+    assert cli_module.MAX_TRACE_CUTS == 128 << 10
+    path = tmp_path / "cnots.qc"
+    path.write_text("H(11)\n" * 500 + "CNOT(11,0)\n" * 128)
+    status, _, err = run_cli(capsys, "trace", "--circuit", str(path))
+    assert status == EX_OK, err
+    assert len(traced) == 1
+    path.write_text("CNOT(11,0)\n" * 129)
+    status, out, err = run_cli(capsys, "trace", "--circuit", str(path))
+    assert status == EX_USAGE
+    assert out == ""
+    assert f"trace is capped at {128 << 10} cut rescorings, and {path} would take {129 << 10}" in err
+    assert len(traced) == 1
 
 
 def test_trace_rejects_state_subjects(capsys):
@@ -222,13 +263,13 @@ def test_evolve_rejects_single_qubit(capsys):
     assert "at least 2 qubits" in err
     status, _, err = run_cli(capsys, "evolve", "--qubits", "13", "--length", "3")
     assert status == EX_USAGE
-    assert "between 2 and 12 qubits" in err
+    assert "scoring is capped at 12 qubits, got n=13" in err
     # 'max' is resolved only for a checked qubit count; the bound for 2000
     # qubits overflows a float.
     for command in (["evolve", "--length", "3"], ["sweep", "--lengths", "3"]):
         status, _, err = run_cli(capsys, *command, "--qubits", "2000", "--target", "max")
         assert status == EX_USAGE
-        assert "between 2 and 12 qubits, got n=2000" in err
+        assert "scoring is capped at 12 qubits, got n=2000" in err
     for flags in (("--length", "3", "--pop", "3000000000"), ("--length", str(10**12))):
         status, _, err = run_cli(capsys, "evolve", "--qubits", "3", "--gens", "0", *flags)
         assert status == EX_USAGE
@@ -399,7 +440,8 @@ def test_sweep_checks_every_length_before_the_first_run(monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "evolve", no_ga)
     monkeypatch.setattr(evolve_module, "evolve", no_ga)
     for lengths, message in (("8,8,0", "circuit length must be positive, got 0"),
-                             (f"8,{10**6}", "must be at most 1000000")):
+                             (f"8,{10**6}", "must be at most 1000000"),
+                             ("5,5", "each length may be swept once, got [5, 5]")):
         status, out, err = run_cli(capsys, "sweep", "--qubits", "5", "--lengths", lengths)
         assert status == EX_USAGE
         assert out == ""

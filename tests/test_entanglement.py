@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from entangler.catalog import ghz_circuit, named_circuit, named_state
+from entangler.catalog import ghz_circuit, ghz_state, named_circuit, named_state
 from entangler.entanglement import (
     Cut,
     _cut_layouts,
@@ -17,7 +17,7 @@ from entangler.entanglement import (
     partial_transpose_spectrum,
     total_entanglement,
 )
-from entangler.evolve import build_gate_set
+from entangler.evolve import GAConfig, build_gate_set
 from entangler.qsim import GATE_KINDS, Circuit, GateSpec, StateVector, apply_gate, run_circuit, zero_state
 
 from oracles import char_poly_eigenvalues, partial_transpose_dense, random_state
@@ -62,8 +62,11 @@ def test_enumerate_cuts_rejects_single_qubit():
 def test_cuts_scores_traces_and_gate_sets_take_one_qubit_range():
     # Refused before anything is built: enumerate_cuts(20) alone would make
     # 524,287 Cut objects.
-    for build in (enumerate_cuts, lambda n: total_entanglement(zero_state(n)),
-                  lambda n: entanglement_trace(Circuit(n, ())), lambda n: build_gate_set(n, ("H", "CNOT"))):
+    rng = np.random.default_rng(0)
+    for build in (enumerate_cuts, lambda n: total_entanglement(random_state(n, rng)),
+                  lambda n: entanglement_trace(Circuit(n, ())), lambda n: build_gate_set(n, ("H", "CNOT")),
+                  lambda n: GAConfig(n=n, circuit_length=3), ghz_state, ghz_circuit,
+                  lambda n: Cut(frozenset({0}), n), max_entanglement_bound):
         with pytest.raises(ValueError, match="entanglement needs at least 2 qubits, got n=1"):
             build(1)
         with pytest.raises(ValueError, match="scoring is capped at 12 qubits, got n=13"):
@@ -111,7 +114,7 @@ def test_spectrum_sums_to_one():
 
 
 def test_partial_transpose_dimension_cap():
-    state = zero_state(13)
+    state = random_state(13, np.random.default_rng(0))
     cached = _cut_layouts.cache_info().currsize
     with pytest.raises(ValueError, match="cap"):
         partial_transpose_spectrum(state, Cut(frozenset({0}), 13))

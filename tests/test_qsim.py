@@ -40,7 +40,7 @@ def test_zero_state_three_qubits():
     assert np.allclose(amps[1:], 0)
 
 
-@pytest.mark.parametrize("bad_n", [0, -1, 17])
+@pytest.mark.parametrize("bad_n", [0, -1, 13, 17])
 def test_zero_state_rejects_out_of_range(bad_n):
     with pytest.raises(ValueError):
         zero_state(bad_n)
@@ -233,11 +233,11 @@ def test_cnot_orders_are_read_only_permutations():
 
 
 def test_cnot_order_cache_stays_within_its_byte_bound():
-    # The docstring's worst case: 240 orders of 2^16 intp entries, 126 MB.
+    # The docstring's worst case: 132 orders of 2^12 intp entries, 4.3 MB.
     largest = _cnot_order(0, 1, MAX_QUBITS).nbytes
     assert largest == 2**MAX_QUBITS * np.dtype(np.intp).itemsize
     assert _cnot_order.cache_info().maxsize == CNOT_ORDER_CACHE_SIZE == MAX_QUBITS * (MAX_QUBITS - 1)
-    assert CNOT_ORDER_CACHE_SIZE * largest <= 126e6
+    assert CNOT_ORDER_CACHE_SIZE * largest <= 4.4e6
     # More placements than the cache keeps: the oldest are evicted.
     placements = [(c, t, n) for n in range(2, 11) for c in range(n) for t in range(n) if c != t]
     assert len(placements) > CNOT_ORDER_CACHE_SIZE
