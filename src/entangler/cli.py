@@ -16,13 +16,13 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 from . import __version__
 from .catalog import NamedEntry, catalog_entries, lookup
 from .entanglement import _check_scored, entanglement_trace, max_entanglement_bound, total_entanglement
-from .evolve import GAConfig, _pool_size, evolve, length_sweep
+from .evolve import MAX_WORKERS, GAConfig, _pool_size, evolve, length_sweep
 from .qsim import (
     MAX_QUBITS,
     Circuit,
@@ -63,7 +63,7 @@ MAX_INPUT_BYTES = 1 << 20
 # both the evolve/sweep flags and the keys a --config file may set.
 _GA_OPTIONS = {
     "qubits": (int, "n", f"number of qubits, 2 to {MAX_QUBITS}"),
-    "gates": (str, "families", "comma-separated gate families, default H,CNOT"),
+    "gates": (str, "families", f"comma-separated gate families, default {','.join(GAConfig.families)}"),
     "pop": (int, "population_size", "population size"),
     "gens": (int, "max_generations", "generation budget"),
     "seed": (int, "rng_seed", f"RNG seed; falls back to ${SEED_ENV_VAR}, then 0"),
@@ -103,9 +103,11 @@ def _round_floats(obj):
 
 def _emit(args, record: dict | None, header: list[str] | None, rows, text: str | None = None) -> None:
     """Write one result in its --format to --out or stdout, the same bytes
-    either way.  Commands without --format write the text when given, else CSV."""
+    either way.  Commands without --format write the text when given, else CSV.
+    A JSON record opens with the command and the package version."""
     fmt = getattr(args, "format", "csv" if text is None else "text")
     if fmt == "json":
+        record = {"command": args.subcommand, "version": __version__, **record}
         body = json.dumps(_round_floats(record), indent=2)
     elif fmt == "csv":
         buf = io.StringIO()
@@ -200,7 +202,8 @@ def _build_ga_config(args) -> GAConfig:
     n = fields["n"]
     if n is None or fields["circuit_length"] is None:
         raise _UsageError("--qubits and --length are required (by flag or config file)")
-    fields["families"] = tuple(f.strip() for f in (fields["families"] or "H,CNOT").split(",") if f.strip())
+    if fields["families"] is not None:
+        fields["families"] = tuple(f.strip() for f in fields["families"].split(",") if f.strip())
     fields["rng_seed"] = _resolve_seed(fields["rng_seed"])
     target = fields["target_fitness"]
     if target is not None:
@@ -227,8 +230,6 @@ def cmd_evolve(args) -> int:
 
     final_state = run_circuit(result.best_circuit, zero_state(config.n))
     record = {
-        "command": "evolve",
-        "version": __version__,
         "started": started,
         "finished": finished,
         "config": config.to_dict(),
@@ -283,8 +284,6 @@ def cmd_evaluate(args) -> int:
     state = subject if circuit_text is None else run_circuit(subject, zero_state(subject.n))
     report = _validated_report(state) if args.validate else total_entanglement(state)
     record = {
-        "command": "evaluate",
-        "version": __version__,
         "subject": label,
         "circuit": circuit_text,
         **report.to_dict(),
@@ -319,8 +318,6 @@ def cmd_trace(args) -> int:
     rows = [[step, "" if step == 0 else str(circuit.gates[step - 1]), value]
             for step, value in entanglement_trace(circuit)]
     record = {
-        "command": "trace",
-        "version": __version__,
         "subject": label,
         "circuit": format_circuit(circuit),
         "steps": _as_dicts(header, rows),
@@ -359,11 +356,11 @@ def cmd_sweep(args) -> int:
     finished = _utc_now()
     header = ["length", "best_fitness"]
     record = {
-        "command": "sweep",
-        "version": __version__,
         "started": started,
         "finished": finished,
-        "config": config.to_dict(),
+        # The settings every run shares: each run's length is in "lengths", and
+        # a null mutation rate means 1/length for each.
+        "config": {key: value for key, value in asdict(config).items() if key != "circuit_length"},
         "lengths": lengths,
         "results": _as_dicts(header, rows),
     }
@@ -371,72 +368,55 @@ def cmd_sweep(args) -> int:
     return EX_OK
 
 
-def _add_ga_flag(parser: argparse.ArgumentParser, dest: str, help: str | None = None) -> None:
-    kind, _field, table_help = _GA_OPTIONS[dest]
-    parser.add_argument("--" + dest.replace("_", "-"), type=kind, help=help or table_help)
-
-
-def _add_ga_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared GA flags; evolve and sweep add --length and --target after --out."""
-    for dest in _GA_OPTIONS:
-        if dest not in ("length", "target"):
-            _add_ga_flag(parser, dest)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="parallel fitness workers, at most 1024; no more processes start "
-                             "than there are individuals or CPUs; does not change results")
-    parser.add_argument("--config", help="flat key=value config file; flags win on conflict")
-    parser.add_argument("--out", help="output path, default stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="entangler", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"entangler {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path, default stdout")
+    subject = argparse.ArgumentParser(add_help=False)
+    subject.add_argument("--circuit", help="path to a .qc circuit file")
+    subject.add_argument("--catalog", help="catalog name, e.g. psi6a or circuit_ghz3")
+    subject.add_argument("--qubits", type=int, help="qubit count override for circuit files")
 
-    p = sub.add_parser("evolve", help="run the genetic search")
-    _add_ga_flags(p)
-    _add_ga_flag(p, "length")
-    _add_ga_flag(p, "target")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=cmd_evolve)
+    evolve_p = sub.add_parser("evolve", parents=[out], help="run the genetic search")
+    evolve_p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("evaluate", help="score a circuit file or catalog entry")
-    p.add_argument("--circuit", help="path to a .qc circuit file")
-    p.add_argument("--catalog", help="catalog name, e.g. psi6a or circuit_ghz3")
-    p.add_argument("--qubits", type=int, help="qubit count override for circuit files")
+    p = sub.add_parser("evaluate", parents=[subject, out], help="score a circuit file or catalog entry")
     p.add_argument("--validate", action="store_true",
                    help="use the eigenvalue path and cross-check the fast path")
     p.add_argument("--state", action="store_true", help="also dump the amplitudes")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--out", help="output path, default stdout")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("trace", help="entanglement after each gate of a circuit")
-    p.add_argument("--circuit", help="path to a .qc circuit file")
-    p.add_argument("--catalog", help="catalog circuit name")
-    p.add_argument("--qubits", type=int, help="qubit count override for circuit files")
+    p = sub.add_parser("trace", parents=[subject, out], help="entanglement after each gate of a circuit")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", help="output path, default stdout")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("catalog", help="list or show reference circuits and states")
     cat_sub = p.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p_list = cat_sub.add_parser("list", help="all catalog entries as CSV")
-    p_list.add_argument("--out", help="output path, default stdout")
-    p_list.set_defaults(func=cmd_catalog, action="list")
-    p_show = cat_sub.add_parser("show", help="circuit text or amplitude table for one entry")
-    p_show.add_argument("name")
-    p_show.add_argument("--paper-order", action="store_true",
-                        help="list gates right to left in matrix-product order")
-    p_show.add_argument("--out", help="output path, default stdout")
-    p_show.set_defaults(func=cmd_catalog, action="show")
+    p = cat_sub.add_parser("list", parents=[out], help="all catalog entries as CSV")
+    p.set_defaults(func=cmd_catalog)
+    p = cat_sub.add_parser("show", parents=[out], help="circuit text or amplitude table for one entry")
+    p.add_argument("name")
+    p.add_argument("--paper-order", action="store_true",
+                   help="list gates right to left in matrix-product order")
+    p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("sweep", help="best fitness per circuit length")
-    _add_ga_flags(p)
-    p.add_argument("--lengths", required=True, help="comma-separated circuit lengths")
-    _add_ga_flag(p, "target", "early-stop fitness per length, a number or 'max'")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_sweep, length=1)
+    sweep_p = sub.add_parser("sweep", parents=[out], help="best fitness per circuit length")
+    sweep_p.add_argument("--lengths", required=True, help="comma-separated circuit lengths")
+    # length_sweep sets each run's length; the base config is built with a placeholder.
+    sweep_p.set_defaults(func=cmd_sweep, length=1)
+
+    for p, formats in ((evolve_p, ("json", "csv")), (sweep_p, ("csv", "json"))):
+        for dest, (kind, _field, text) in _GA_OPTIONS.items():
+            if not (p is sweep_p and dest == "length"):
+                p.add_argument("--" + dest.replace("_", "-"), type=kind, help=text)
+        p.add_argument("--workers", type=int, default=1,
+                       help=f"parallel fitness workers, at most {MAX_WORKERS}; no more processes start "
+                            "than there are individuals or CPUs; does not change results")
+        p.add_argument("--config", help="flat key=value config file; flags win on conflict")
+        p.add_argument("--format", choices=formats, default=formats[0])
     return parser
 
 

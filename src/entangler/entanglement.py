@@ -190,14 +190,16 @@ def _cut_negativities(amps: np.ndarray, n: int, values: list | None = None) -> l
     """Every canonical cut's contribution, ascending by mask (mask m at m >> 1).
 
     values, when given, is such a list with None for the cuts to compute; it
-    is filled in place and returned, its other entries kept as they stand.
-    Each cut size still takes one stacked SVD, over just the missing cuts'
+    is filled in place and returned, its other entries kept as they stand;
+    with no None in it, it is returned without walking the cuts.  Each cut size still takes one stacked SVD, over just the missing cuts'
     gathers; LAPACK factors each matrix of a stack on its own, so a cut
     scores the same bits in a partial stack as in the full one.
     """
     everything = values is None
     if everything:
         values = [0.0] * ((1 << (n - 1)) - 1)
+    elif None not in values:
+        return values
     for _m, masks, gathers in _cut_layouts(n):
         if not everything:
             picked = [i for i, mask in enumerate(masks) if values[mask >> 1] is None]

@@ -280,12 +280,20 @@ def test_evolve_rejects_single_qubit(capsys):
     assert "tournament size must be in [1, population]" in err
 
 
-def test_unknown_gate_families_are_usage_errors(capsys):
+def test_unknown_gate_families_are_usage_errors(tmp_path, capsys):
+    config = tmp_path / "gates.cfg"
+    config.write_text("gates =\n")
     for command in (["evolve", "--length", "3"], ["sweep", "--lengths", "2,3"]):
         status, out, err = run_cli(capsys, *command, "--qubits", "3", "--gates", "H,FOO", "--gens", "0")
         assert status == EX_USAGE
         assert out == ""
         assert "unknown gate families ['FOO']" in err
+        # An empty list, by flag or config file, is refused rather than read as the default.
+        for gates in (["--gates", ","], ["--gates", ""], ["--config", str(config)]):
+            status, out, err = run_cli(capsys, *command, "--qubits", "3", *gates, "--gens", "0")
+            assert status == EX_USAGE, gates
+            assert out == ""
+            assert "at least one gate family is required" in err
 
 
 def test_targets_that_are_not_finite_are_usage_errors(capsys):
@@ -428,6 +436,22 @@ def test_sweep_reports_per_length_bests(capsys):
     assert bests == {1: 0.0, 2: 1.0, 3: 1.5}
 
 
+def test_sweep_record_holds_the_settings_its_runs_shared(capsys):
+    argv = ["sweep", "--qubits", "3", "--lengths", "3,4", "--gens", "2", "--format", "json"]
+    status, out, _ = run_cli(capsys, *argv)
+    assert status == EX_OK
+    record = json.loads(out)
+    assert list(record)[:2] == ["command", "version"]
+    assert record["command"] == "sweep"
+    assert "circuit_length" not in record["config"]
+    # null: each run mutates at 1/length of its own length.
+    assert record["config"]["per_gene_mutation_rate"] is None
+    assert record["lengths"] == [3, 4]
+    status, out, _ = run_cli(capsys, *argv, "--mutation-rate", "0.3")
+    assert status == EX_OK
+    assert json.loads(out)["config"]["per_gene_mutation_rate"] == 0.3
+
+
 def test_sweep_rejects_bad_lengths(capsys):
     status, _, err = run_cli(capsys, "sweep", "--qubits", "3", "--lengths", "a,b")
     assert status == EX_USAGE
@@ -446,6 +470,33 @@ def test_sweep_checks_every_length_before_the_first_run(monkeypatch, capsys):
         assert status == EX_USAGE
         assert out == ""
         assert message in err
+
+
+# --- help --------------------------------------------------------------------
+
+
+_GA_FLAGS = ["--qubits", "--gates", "--pop", "--gens", "--seed", "--mutation-rate",
+             "--crossover-rate", "--tournament", "--elite"]
+_GA_TAIL = ["--target", "--workers", "--config", "--format"]
+_SUBJECT_FLAGS = ["--circuit", "--catalog", "--qubits", "--out"]
+# Each subcommand's long flags, in the order --help lists them.
+_HELP_FLAGS = {
+    "evolve": ["--out", *_GA_FLAGS, "--length", *_GA_TAIL],
+    "sweep": ["--out", "--lengths", *_GA_FLAGS, *_GA_TAIL],
+    "evaluate": [*_SUBJECT_FLAGS, "--validate", "--state", "--format"],
+    "trace": [*_SUBJECT_FLAGS, "--format"],
+    "catalog list": ["--out"],
+    "catalog show": ["--out", "--paper-order"],
+}
+
+
+@pytest.mark.parametrize("command", _HELP_FLAGS)
+def test_every_subcommand_help_lists_each_flag_once(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command.split(), "--help"])
+    assert exit_info.value.code == EX_OK
+    listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert listed == ["--help", *_HELP_FLAGS[command]]
 
 
 # --- input files -------------------------------------------------------------
