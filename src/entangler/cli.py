@@ -81,7 +81,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems with exit code 64."""
+    """argparse that reports usage problems with exit code 64 and takes no
+    abbreviated flag: with prefix matching, sweep's --length would be read
+    as --lengths.  Every parser and subparser is one of these."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise _UsageError(message)
@@ -199,9 +204,11 @@ def _build_ga_config(args) -> GAConfig:
                 raise _UsageError(f"config key {key} has bad value {file_values[key]!r}") from None
         fields[field] = value
 
-    n = fields["n"]
-    if n is None or fields["circuit_length"] is None:
-        raise _UsageError("--qubits and --length are required (by flag or config file)")
+    missing = [flag for flag, field in (("--qubits", "n"), ("--length", "circuit_length"))
+               if fields[field] is None]
+    if missing:
+        verb = "is" if len(missing) == 1 else "are"
+        raise _UsageError(f"{' and '.join(missing)} {verb} required (by flag or config file)")
     if fields["families"] is not None:
         fields["families"] = tuple(f.strip() for f in fields["families"].split(",") if f.strip())
     fields["rng_seed"] = _resolve_seed(fields["rng_seed"])

@@ -265,8 +265,8 @@ def _ranked(fits: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(len(fits)), -fits))
 
 
-def _tournament_pick(fits: list[float], rng: np.random.Generator, size: int) -> int:
-    candidates = rng.integers(0, len(fits), size=size).tolist()
+def _tournament_winner(candidates: list[int], fits: list[float]) -> int:
+    """The fittest of the drawn candidates; exact ties go to the lower index."""
     winner = candidates[0]
     for c in candidates[1:]:
         if fits[c] > fits[winner] or (fits[c] == fits[winner] and c < winner):
@@ -278,26 +278,39 @@ def _breed(population: np.ndarray, fits: np.ndarray, config: GAConfig,
            table_size: int, rng: np.random.Generator) -> np.ndarray:
     """One generation.  Draw order per child: two tournaments, one crossover
     coin (plus a point when it lands), then the mutation mask and the
-    replacement genes."""
+    replacement genes.
+
+    Both tournaments come from one integers(size=2k) call and a lone
+    replacement gene from a scalar integers call.  Bounded integers below
+    2^32 are taken one after another from the bit generator's 32-bit stream
+    whatever the call's size, so these are the draws, in the order, of one
+    sized call per tournament and per mutated child.
+    """
     length = config.circuit_length
-    children = [population[i].copy() for i in _ranked(fits)[: config.elite_count]]
+    k = config.tournament_size
+    elites = config.elite_count
+    children = np.empty_like(population)
+    children[:elites] = population[_ranked(fits)[:elites]]
     # Tournaments compare Python floats: the same values, without a numpy
     # scalar per comparison.
     fit_list = fits.tolist()
-    while len(children) < config.population_size:
-        first = population[_tournament_pick(fit_list, rng, config.tournament_size)]
-        second = population[_tournament_pick(fit_list, rng, config.tournament_size)]
+    size = len(fit_list)
+    for child in children[elites:]:
+        drawn = rng.integers(0, size, size=2 * k).tolist()
+        first = population[_tournament_winner(drawn[:k], fit_list)]
         if length >= 2 and rng.random() < config.crossover_rate:
             point = int(rng.integers(1, length))
-            child = np.concatenate([first[:point], second[point:]])
+            child[:point] = first[:point]
+            child[point:] = population[_tournament_winner(drawn[k:], fit_list), point:]
         else:
-            child = first.copy()
+            child[:] = first
         mask = rng.random(length) < config.mutation_rate
         hits = np.count_nonzero(mask)
-        if hits:
+        if hits == 1:
+            child[mask] = rng.integers(0, table_size)
+        elif hits:
             child[mask] = rng.integers(0, table_size, size=hits)
-        children.append(child)
-    return np.array(children)
+    return children
 
 
 def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:

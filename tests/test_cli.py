@@ -308,9 +308,9 @@ def test_targets_that_are_not_finite_are_usage_errors(capsys):
 def test_negative_seeds_are_usage_errors(tmp_path, capsys, monkeypatch):
     config = tmp_path / "seed.cfg"
     config.write_text("qubits = 3\nlength = 3\nseed = -1\n")
-    for command in (["evolve"], ["sweep", "--lengths", "1,2"]):
-        for env, flags in (({}, ["--qubits", "3", "--length", "3", "--seed", "-1"]),
-                           ({"ENTANGLER_SEED": "-1"}, ["--qubits", "3", "--length", "3"]),
+    for command in (["evolve", "--length", "3"], ["sweep", "--lengths", "1,2"]):
+        for env, flags in (({}, ["--qubits", "3", "--seed", "-1"]),
+                           ({"ENTANGLER_SEED": "-1"}, ["--qubits", "3"]),
                            ({}, ["--config", str(config)])):
             with monkeypatch.context() as patch:
                 for name, value in env.items():
@@ -420,6 +420,34 @@ def test_evolve_writes_output_file(tmp_path, capsys):
 def test_unknown_flag_is_usage_error(capsys):
     status, _, _ = run_cli(capsys, "evolve", "--qubits", "3", "--length", "3", "--bogus")
     assert status == EX_USAGE
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (("sweep", "--lengths", "2"), "--qubits is required"),
+    (("evolve", "--length", "3"), "--qubits is required"),
+    (("evolve", "--qubits", "3"), "--length is required"),
+    (("evolve",), "--qubits and --length are required"),
+])
+def test_usage_error_names_only_the_missing_flags(capsys, argv, missing):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EX_USAGE
+    assert out == ""
+    assert f"{missing} (by flag or config file)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--qubits", "3", "--lengths", "2", "--length", "3"),
+    ("sweep", "--qubits", "3", "--length", "3"),
+    ("evolve", "--qub", "3", "--len", "3"),
+    ("evolve", "--qubits", "3", "--length", "3", "--gen", "1"),
+    ("evaluate", "--cat", "psi6a"),
+    ("catalog", "show", "circuit_ghz3", "--paper"),
+    ("--vers",),
+])
+def test_abbreviated_flags_are_usage_errors(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == EX_USAGE
+    assert out == ""
 
 
 # --- sweep ---------------------------------------------------------------------

@@ -16,7 +16,7 @@ from entangler.evolve import (
     MAX_WORKERS,
     GAConfig,
     _breed,
-    _tournament_pick,
+    _tournament_winner,
     build_gate_set,
     decode,
     encode,
@@ -488,11 +488,10 @@ def test_breed_equals_the_numpy_scalar_breed(data):
 
 
 def test_tournament_ties_go_to_the_lower_index():
-    fits = np.array([1.0, 1.0, 1.0, 1.0])
+    fits = [1.0, 1.0, 1.0, 1.0]
     for seed in range(20):
-        pick = _tournament_pick(fits, np.random.default_rng(seed), size=4)
-        drawn = np.random.default_rng(seed).integers(0, 4, size=4)
-        assert pick == drawn.min()
+        drawn = np.random.default_rng(seed).integers(0, 4, size=4).tolist()
+        assert _tournament_winner(drawn, fits) == min(drawn)
 
 
 # --- length sweep ------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from entangler.qsim import (
     CNOT_ORDER_CACHE_SIZE,
+    FLIP_INDEX_CACHE_SIZE,
     GATE_KINDS,
     GATE_MATRICES,
     MAX_QUBITS,
@@ -15,6 +16,7 @@ from entangler.qsim import (
     StateVector,
     _apply_gate_inplace,
     _cnot_order,
+    _flip_index,
     allclose_up_to_phase,
     apply_gate,
     format_circuit,
@@ -206,7 +208,7 @@ def _index_array_kernel(amps: np.ndarray, gate: GateSpec) -> None:
         amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
 def test_gate_kernel_equals_the_index_array_kernel_bit_for_bit(n):
     rng = np.random.default_rng(n)
     state = random_state(n, rng).amplitudes.copy()
@@ -244,6 +246,27 @@ def test_cnot_order_cache_stays_within_its_byte_bound():
     for placement in placements:
         _cnot_order(*placement)
     assert _cnot_order.cache_info().currsize == CNOT_ORDER_CACHE_SIZE
+
+
+def test_flip_indices_are_read_only():
+    bit, flip = _flip_index(1, 3)
+    assert bit.tolist() == [0, 0, 1, 1, 0, 0, 1, 1]
+    assert flip.tolist() == [2, 3, 0, 1, 6, 7, 4, 5]
+    for index in (bit, flip):
+        assert index.dtype == np.intp
+        assert not index.flags.writeable
+        with pytest.raises(ValueError):
+            index[0] = 1
+
+
+def test_flip_index_cache_stays_within_its_byte_bound():
+    # The docstring's worst case: every (q, n) pair, 78 of them, in 1.44 MB.
+    placements = [(q, n) for n in range(1, MAX_QUBITS + 1) for q in range(n)]
+    assert _flip_index.cache_info().maxsize == FLIP_INDEX_CACHE_SIZE == len(placements) == 78
+    total = sum(index.nbytes for placement in placements for index in _flip_index(*placement))
+    assert total == 2 * np.dtype(np.intp).itemsize * sum(n << n for n in range(1, MAX_QUBITS + 1))
+    assert total <= 1.45e6
+    assert _flip_index.cache_info().currsize == FLIP_INDEX_CACHE_SIZE
 
 
 def test_nonzero_counts():
