@@ -23,7 +23,6 @@ from .entanglement import (
     cut_negativity,
     entanglement_trace,
     enumerate_cuts,
-    hermitian_eigenvalues,
     max_entanglement_bound,
     partial_transpose_spectrum,
     total_entanglement,

@@ -264,12 +264,13 @@ def _load_subject(args) -> tuple[str, Circuit | StateVector]:
     text = _read_input(args.circuit)
     if not text.strip() and args.qubits is None:
         raise _UsageError(f"{args.circuit} holds an empty circuit; pass --qubits")
-    circuit = parse_circuit(text, n=args.qubits)
+    circuit = parse_circuit(text) if args.qubits is None else None
     try:
-        _check_scored(circuit.n)
+        # A given --qubits is checked before parse_circuit checks the labels against it.
+        _check_scored(args.qubits if circuit is None else circuit.n)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    return args.circuit, circuit
+    return args.circuit, circuit or parse_circuit(text, n=args.qubits)
 
 
 def _validated_report(state: StateVector):

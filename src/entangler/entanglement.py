@@ -2,10 +2,11 @@
 
 A cut splits the qubit set into a subset S and its complement; complementary
 splits give the same negativity, so each pair is represented once by the side
-containing qubit 0.  That leaves 2^(n-1) - 1 inequivalent cuts.  A cut's
-contribution is minus the sum of the negative eigenvalues of the partially
-transposed density matrix; the score of a state is the sum over all cuts
-(larger means more entangled).
+containing qubit 0.  That leaves 2^(n-1) - 1 inequivalent cuts, each one its
+member bitmask (bit q set when qubit q is a member): the odd masks below
+2^n - 1.  A cut's contribution is minus the sum of the negative eigenvalues of
+the partially transposed density matrix; the score of a state is the sum over
+all cuts (larger means more entangled).
 
 Two numerical paths compute a cut's contribution:
 
@@ -37,6 +38,7 @@ matrix at n = 12, and four times as much per extra qubit.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -57,41 +59,31 @@ NEGATIVE_EIGENVALUE_TOL = -1e-12
 MEMO_MAX_BYTES = 64 << 20
 MEMO_ENTRY_OVERHEAD = 160
 
-_HERMITIAN_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Cut:
-    """Canonical bipartition of {0..n-1}: the member side contains qubit 0."""
+    """Canonical bipartition of {0..n-1} as its member bitmask: bit q set for member q, bit 0 set."""
 
-    members: frozenset[int]
+    mask: int
     n: int
 
     def __post_init__(self):
-        members = frozenset(int(q) for q in self.members)
-        object.__setattr__(self, "members", members)
+        mask = operator.index(self.mask)  # numpy ints pass, floats are refused
+        object.__setattr__(self, "mask", mask)
         _check_scored(self.n)
-        if 0 not in members:
-            raise ValueError(f"canonical cuts contain qubit 0, got {sorted(members)}")
-        if not 1 <= len(members) <= self.n - 1:
-            raise ValueError(f"cut must be a proper nonempty subset of {self.n} qubits, got {sorted(members)}")
-        if any(not 0 <= q < self.n for q in members):
-            raise ValueError(f"cut members {sorted(members)} out of range for n={self.n}")
-
-    @classmethod
-    def from_mask(cls, mask: int, n: int) -> "Cut":
-        return cls(frozenset(q for q in range(n) if (mask >> q) & 1), n)
+        if not mask & 1:
+            raise ValueError(f"canonical cuts contain qubit 0, got mask {mask}")
+        if not 0 < mask < (1 << self.n) - 1:
+            raise ValueError(f"cut must be a proper nonempty subset of {self.n} qubits, got mask {mask}")
 
     @property
-    def mask(self) -> int:
-        m = 0
-        for q in self.members:
-            m |= 1 << q
-        return m
+    def members(self) -> frozenset[int]:
+        return frozenset(q for q in range(self.n) if (self.mask >> q) & 1)
 
     @property
     def smaller_side(self) -> int:
-        return min(len(self.members), self.n - len(self.members))
+        size = self.mask.bit_count()
+        return min(size, self.n - size)
 
     def __str__(self) -> str:
         return "{" + ",".join(str(q) for q in sorted(self.members)) + "}"
@@ -139,7 +131,7 @@ def _check_scored(n: int) -> None:
 def enumerate_cuts(n: int) -> list[Cut]:
     """All 2^(n-1) - 1 canonical cuts, ascending by member bitmask."""
     _check_scored(n)
-    return [Cut.from_mask(mask, n) for mask in range(1, (1 << n) - 1, 2)]
+    return [Cut(mask, n) for mask in range(1, (1 << n) - 1, 2)]
 
 
 # perfbench reads this cache's cache_info() and sums its gathers' nbytes, and
@@ -191,9 +183,10 @@ def _cut_negativities(amps: np.ndarray, n: int, values: list | None = None) -> l
 
     values, when given, is such a list with None for the cuts to compute; it
     is filled in place and returned, its other entries kept as they stand;
-    with no None in it, it is returned without walking the cuts.  Each cut size still takes one stacked SVD, over just the missing cuts'
-    gathers; LAPACK factors each matrix of a stack on its own, so a cut
-    scores the same bits in a partial stack as in the full one.
+    with no None in it, it is returned without walking the cuts.  Each cut
+    size still takes one stacked SVD, over just the missing cuts' gathers;
+    LAPACK factors each matrix of a stack on its own, so a cut scores the
+    same bits in a partial stack as in the full one.
     """
     everything = values is None
     if everything:
@@ -224,37 +217,23 @@ def _partial_transpose(amps: np.ndarray, n: int, members: frozenset[int]) -> np.
     return tensor.transpose(perm).reshape(1 << n, 1 << n)
 
 
-def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending."""
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > _HERMITIAN_TOL:
-        raise ValueError(f"matrix is not Hermitian: max|A - A^dagger| = {defect:.3e}")
-    return np.linalg.eigvalsh(a)
-
-
 def partial_transpose_spectrum(state: StateVector, cut: Cut) -> np.ndarray:
     """Eigenvalues (ascending) of the partially transposed density matrix."""
     _check_cut(state, cut)  # Cut has checked the qubit range
-    return hermitian_eigenvalues(_partial_transpose(state.amplitudes, state.n, cut.members))
-
-
-def _negative_part(eigenvalues: np.ndarray) -> float:
-    neg = eigenvalues[eigenvalues < NEGATIVE_EIGENVALUE_TOL]
-    return float(-neg.sum())
+    # The partial transpose of |psi><psi| is exactly Hermitian.
+    return np.linalg.eigvalsh(_partial_transpose(state.amplitudes, state.n, cut.members))
 
 
 def cut_negativity(state: StateVector, cut: Cut, method: str = "schmidt") -> float:
     """This cut's contribution: minus the sum of negative transpose eigenvalues."""
     _check_cut(state, cut)
     if method == "schmidt":
-        _m, masks, gathers = _cut_layouts(state.n)[len(cut.members) - 1]
+        _m, masks, gathers = _cut_layouts(state.n)[cut.mask.bit_count() - 1]
         i = masks.index(cut.mask)
         return _stack_negativities(state.amplitudes, gathers[i:i + 1])[0]
     if method == "eigen":
-        return _negative_part(partial_transpose_spectrum(state, cut))
+        spectrum = partial_transpose_spectrum(state, cut)
+        return float(-spectrum[spectrum < NEGATIVE_EIGENVALUE_TOL].sum())
     raise ValueError(f"unknown method {method!r}; expected 'schmidt' or 'eigen'")
 
 

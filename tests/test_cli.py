@@ -126,6 +126,19 @@ def test_evaluate_refuses_unscorable_circuit_files_before_simulating(monkeypatch
     assert "entanglement needs at least 2 qubits, got n=1" in err
 
 
+@pytest.mark.parametrize("qubits", [-1, 0, 1, 13])
+def test_qubits_outside_the_range_are_usage_errors_before_parsing(tmp_path, capsys, qubits):
+    message = ("scoring is capped at 12 qubits, got n=13" if qubits > 12
+               else f"entanglement needs at least 2 qubits, got n={qubits}")
+    for text in ("", "H(0)\n"):
+        path = tmp_path / "subject.qc"
+        path.write_text(text)
+        for command in ("evaluate", "trace"):
+            status, out, err = run_cli(capsys, command, "--circuit", str(path), "--qubits", str(qubits))
+            assert (status, out) == (EX_USAGE, "")
+            assert err == f"entangler: usage error: {message}\n"
+
+
 def test_evaluate_csv_per_cut_table(capsys):
     status, out, _ = run_cli(capsys, "evaluate", "--catalog", "psi4a", "--format", "csv")
     assert status == EX_OK

@@ -12,13 +12,12 @@ from entangler.entanglement import (
     cut_negativity,
     entanglement_trace,
     enumerate_cuts,
-    hermitian_eigenvalues,
     max_entanglement_bound,
     partial_transpose_spectrum,
     total_entanglement,
 )
 from entangler.evolve import GAConfig, build_gate_set
-from entangler.qsim import GATE_KINDS, Circuit, GateSpec, StateVector, apply_gate, run_circuit, zero_state
+from entangler.qsim import GATE_KINDS, MAX_QUBITS, Circuit, GateSpec, StateVector, apply_gate, run_circuit, zero_state
 
 from oracles import char_poly_eigenvalues, partial_transpose_dense, random_state
 
@@ -66,7 +65,7 @@ def test_cuts_scores_traces_and_gate_sets_take_one_qubit_range():
     for build in (enumerate_cuts, lambda n: total_entanglement(random_state(n, rng)),
                   lambda n: entanglement_trace(Circuit(n, ())), lambda n: build_gate_set(n, ("H", "CNOT")),
                   lambda n: GAConfig(n=n, circuit_length=3), ghz_state, ghz_circuit,
-                  lambda n: Cut(frozenset({0}), n), max_entanglement_bound):
+                  lambda n: Cut(1, n), max_entanglement_bound):
         with pytest.raises(ValueError, match="entanglement needs at least 2 qubits, got n=1"):
             build(1)
         with pytest.raises(ValueError, match="scoring is capped at 12 qubits, got n=13"):
@@ -75,16 +74,38 @@ def test_cuts_scores_traces_and_gate_sets_take_one_qubit_range():
 
 def test_cut_must_contain_qubit_zero_and_be_proper():
     with pytest.raises(ValueError, match="qubit 0"):
-        Cut(frozenset({1}), 3)
+        Cut(0b010, 3)
     with pytest.raises(ValueError, match="proper"):
-        Cut(frozenset({0, 1, 2}), 3)
+        Cut(0b111, 3)
+
+
+@pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
+def test_cut_masks_match_the_layouts_and_members(n):
+    cuts = enumerate_cuts(n)
+    assert [c.mask for c in cuts] == sorted(mask for _m, masks, _g in _cut_layouts(n) for mask in masks)
+    for cut in cuts:
+        assert sum(1 << q for q in cut.members) == cut.mask
+        assert cut.smaller_side == min(len(cut.members), n - len(cut.members))
+
+
+@pytest.mark.parametrize("mask", [0, 2, 6, 7, 8, 9, 13, -1, -3])
+def test_cut_refuses_masks_outside_the_canonical_range(mask):
+    with pytest.raises(ValueError, match="qubit 0|proper"):
+        Cut(mask, 3)
+
+
+def test_cut_mask_is_an_exact_integer():
+    assert Cut(np.int64(5), 3) == Cut(5, 3)
+    assert type(Cut(np.int64(5), 3).mask) is int
+    with pytest.raises(TypeError):
+        Cut(5.0, 3)
 
 
 # --- partial transpose spectra ------------------------------------------------
 
 
 def test_bell_partial_transpose_spectrum():
-    spectrum = partial_transpose_spectrum(bell_state(), Cut(frozenset({0}), 2))
+    spectrum = partial_transpose_spectrum(bell_state(), Cut(1, 2))
     assert np.allclose(spectrum, [-0.5, 0.5, 0.5, 0.5], atol=1e-10)
 
 
@@ -92,19 +113,27 @@ def test_bell_spectrum_against_dense_oracle():
     state = bell_state()
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     oracle = char_poly_eigenvalues(partial_transpose_dense(rho, {0}, 2))
-    spectrum = partial_transpose_spectrum(state, Cut(frozenset({0}), 2))
+    spectrum = partial_transpose_spectrum(state, Cut(1, 2))
     assert np.allclose(spectrum, oracle, atol=1e-8)
 
 
 def test_product_state_spectrum_is_rank_one():
-    spectrum = partial_transpose_spectrum(zero_state(2), Cut(frozenset({0}), 2))
+    spectrum = partial_transpose_spectrum(zero_state(2), Cut(1, 2))
     assert np.allclose(spectrum, [0, 0, 0, 1], atol=1e-12)
 
 
 def test_ghz3_negative_part_is_one_half():
     state = run_circuit(named_circuit("circuit_ghz3"), zero_state(3))
-    spectrum = partial_transpose_spectrum(state, Cut(frozenset({0}), 3))
+    spectrum = partial_transpose_spectrum(state, Cut(1, 3))
     assert abs(spectrum[spectrum < 0].sum() + 0.5) < 1e-10
+
+
+def test_spectrum_matches_char_poly_oracle_on_every_cut():
+    state = random_state(3, np.random.default_rng(17))
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    for cut in enumerate_cuts(3):
+        oracle = char_poly_eigenvalues(partial_transpose_dense(rho, cut.members, 3))
+        assert np.allclose(partial_transpose_spectrum(state, cut), oracle, atol=1e-8)
 
 
 def test_spectrum_sums_to_one():
@@ -117,7 +146,7 @@ def test_partial_transpose_dimension_cap():
     state = random_state(13, np.random.default_rng(0))
     cached = _cut_layouts.cache_info().currsize
     with pytest.raises(ValueError, match="cap"):
-        partial_transpose_spectrum(state, Cut(frozenset({0}), 13))
+        partial_transpose_spectrum(state, Cut(1, 13))
     with pytest.raises(ValueError, match="cap"):
         total_entanglement(state)
     with pytest.raises(ValueError, match="cap"):
@@ -129,7 +158,7 @@ def test_partial_transpose_dimension_cap():
 
 
 def test_bell_negativity_both_paths():
-    cut = Cut(frozenset({0}), 2)
+    cut = Cut(1, 2)
     assert abs(cut_negativity(bell_state(), cut, method="schmidt") - 0.5) < 1e-10
     assert abs(cut_negativity(bell_state(), cut, method="eigen") - 0.5) < 1e-10
 
@@ -148,7 +177,7 @@ def test_psi6a_saturates_every_three_cut():
 
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
-        cut_negativity(bell_state(), Cut(frozenset({0}), 2), method="guess")
+        cut_negativity(bell_state(), Cut(1, 2), method="guess")
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
@@ -372,27 +401,4 @@ def test_trace_rescores_only_the_cuts_a_gate_can_change(circuit):
         # A single-qubit gate is local to every cut: the entry is carried over.
         if k and len(gates[k - 1].args) == 1:
             assert value == steps[k - 1][1]
-
-
-# --- eigensolver facade ---------------------------------------------------------
-
-
-def test_eigenvalues_of_identity():
-    assert np.allclose(hermitian_eigenvalues(np.eye(4)), [1, 1, 1, 1])
-
-
-def test_eigenvalues_of_diagonal():
-    assert np.allclose(hermitian_eigenvalues(np.diag([3.0, -1.0])), [-1, 3])
-
-
-def test_eigenvalues_match_char_poly_oracle():
-    rng = np.random.default_rng(17)
-    raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    matrix = (raw + raw.conj().T) / 2
-    assert np.allclose(hermitian_eigenvalues(matrix), char_poly_eigenvalues(matrix), atol=1e-8)
-
-
-def test_eigenvalues_reject_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
