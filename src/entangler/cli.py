@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -41,8 +40,6 @@ EX_BUDGET = 2
 EX_USAGE = 64
 EX_PARSE = 65
 
-SEED_ENV_VAR = "ENTANGLER_SEED"
-
 _VALIDATE_TOL = 1e-10
 
 # Largest qubit count --validate takes: its eigen path diagonalises a dense
@@ -55,20 +52,21 @@ MAX_VALIDATED_QUBITS = 9
 # the cap is about one minute of work.  A larger circuit exits 64 unscored.
 MAX_TRACE_CUTS = 1 << 17
 
-# Largest --circuit or --config file read, in bytes.  A larger one is refused
-# before any more of it is read, so no input file can exhaust memory.
+# Largest --circuit file read, in bytes.  A larger one is refused before any
+# more of it is read, so no circuit file can exhaust memory.
 MAX_INPUT_BYTES = 1 << 20
 
 # Every GA option once, dest -> (type, GAConfig field, help).  The table makes
-# both the evolve/sweep flags and the keys a --config file may set.
+# the evolve/sweep flags, the only source of GA settings; a flag left unset
+# takes GAConfig's default, and --qubits and --length have none.
 _GA_OPTIONS = {
     "qubits": (int, "n", f"number of qubits, 2 to {MAX_QUBITS}"),
     "gates": (str, "families", f"comma-separated gate families, default {','.join(GAConfig.families)}"),
     "pop": (int, "population_size", "population size"),
     "gens": (int, "max_generations", "generation budget"),
-    "seed": (int, "rng_seed", f"RNG seed; falls back to ${SEED_ENV_VAR}, then 0"),
+    "seed": (int, "rng_seed", f"RNG seed, default {GAConfig.rng_seed}"),
     "mutation_rate": (float, "per_gene_mutation_rate", "per-gene mutation rate, default 1/length"),
-    "crossover_rate": (float, "crossover_rate", None),
+    "crossover_rate": (float, "crossover_rate", f"crossover rate, default {GAConfig.crossover_rate}"),
     "tournament": (int, "tournament_size", "tournament size"),
     "elite": (int, "elite_count", "elites carried over unchanged"),
     "length": (int, "circuit_length", "circuit length (chromosome length)"),
@@ -147,20 +145,8 @@ def _catalog_entry(name: str) -> NamedEntry:
         raise _UsageError(str(exc.args[0])) from None
 
 
-def _resolve_seed(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
-
-
 def _read_input(path: str) -> str:
-    """A --circuit or --config file's text as open(path) decodes it, if readable and small."""
+    """A --circuit file's text as open(path) decodes it, if readable and small."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(MAX_INPUT_BYTES + 1)
@@ -171,47 +157,14 @@ def _read_input(path: str) -> str:
     return io.TextIOWrapper(io.BytesIO(data)).read()
 
 
-def _read_config_file(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment.  CLI flags win on conflict."""
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(_read_input(path).split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise _UsageError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
 def _build_ga_config(args) -> GAConfig:
-    """GAConfig from the _GA_OPTIONS flags, each falling back to the --config file.
+    """GAConfig from the _GA_OPTIONS flags.
 
     Also refuses a --workers count that evolve() would refuse, before any run.
     """
-    file_values = _read_config_file(args.config) if args.config else {}
-    unknown = set(file_values).difference(_GA_OPTIONS)
-    if unknown:
-        raise _UsageError(f"unknown config keys {sorted(unknown)}; expected {sorted(_GA_OPTIONS)}")
-    fields = {}
-    for key, (kind, field, _help) in _GA_OPTIONS.items():
-        value = getattr(args, key)
-        if value is None and key in file_values:
-            try:
-                value = kind(file_values[key])
-            except ValueError:
-                raise _UsageError(f"config key {key} has bad value {file_values[key]!r}") from None
-        fields[field] = value
-
-    missing = [flag for flag, field in (("--qubits", "n"), ("--length", "circuit_length"))
-               if fields[field] is None]
-    if missing:
-        verb = "is" if len(missing) == 1 else "are"
-        raise _UsageError(f"{' and '.join(missing)} {verb} required (by flag or config file)")
+    fields = {field: getattr(args, key) for key, (_kind, field, _help) in _GA_OPTIONS.items()}
     if fields["families"] is not None:
         fields["families"] = tuple(f.strip() for f in fields["families"].split(",") if f.strip())
-    fields["rng_seed"] = _resolve_seed(fields["rng_seed"])
     target = fields["target_fitness"]
     if target is not None:
         try:
@@ -262,7 +215,8 @@ def _load_subject(args) -> tuple[str, Circuit | StateVector]:
         entry = _catalog_entry(args.catalog)
         return entry.name, entry.payload
     text = _read_input(args.circuit)
-    if not text.strip() and args.qubits is None:
+    # Separators alone are an empty circuit too, whose qubit count only --qubits gives.
+    if not text.replace(";", "").strip() and args.qubits is None:
         raise _UsageError(f"{args.circuit} holds an empty circuit; pass --qubits")
     circuit = parse_circuit(text) if args.qubits is None else None
     try:
@@ -419,11 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
     for p, formats in ((evolve_p, ("json", "csv")), (sweep_p, ("csv", "json"))):
         for dest, (kind, _field, text) in _GA_OPTIONS.items():
             if not (p is sweep_p and dest == "length"):
-                p.add_argument("--" + dest.replace("_", "-"), type=kind, help=text)
+                p.add_argument("--" + dest.replace("_", "-"), type=kind, help=text,
+                               required=dest in ("qubits", "length"))
         p.add_argument("--workers", type=int, default=1,
                        help=f"parallel fitness workers, at most {MAX_WORKERS}; no more processes start "
                             "than there are individuals or CPUs; does not change results")
-        p.add_argument("--config", help="flat key=value config file; flags win on conflict")
         p.add_argument("--format", choices=formats, default=formats[0])
     return parser
 

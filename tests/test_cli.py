@@ -139,6 +139,22 @@ def test_qubits_outside_the_range_are_usage_errors_before_parsing(tmp_path, caps
             assert err == f"entangler: usage error: {message}\n"
 
 
+@pytest.mark.parametrize("text", ["", " \n\t", ";", ";\n ;"], ids=repr)
+def test_circuit_files_without_gates_need_qubits(tmp_path, capsys, text):
+    path = tmp_path / "nothing.qc"
+    path.write_text(text)
+    for command in ("evaluate", "trace"):
+        status, out, err = run_cli(capsys, command, "--circuit", str(path))
+        assert (status, out) == (EX_USAGE, "")
+        assert err == f"entangler: usage error: {path} holds an empty circuit; pass --qubits\n"
+    status, out, _ = run_cli(capsys, "evaluate", "--circuit", str(path), "--qubits", "2", "--format", "json")
+    assert status == EX_OK
+    assert json.loads(out)["total"] == 0
+    path.write_text(text + "; H(")
+    status, _, _ = run_cli(capsys, "evaluate", "--circuit", str(path))
+    assert status == EX_PARSE
+
+
 def test_evaluate_csv_per_cut_table(capsys):
     status, out, _ = run_cli(capsys, "evaluate", "--catalog", "psi4a", "--format", "csv")
     assert status == EX_OK
@@ -293,16 +309,14 @@ def test_evolve_rejects_single_qubit(capsys):
     assert "tournament size must be in [1, population]" in err
 
 
-def test_unknown_gate_families_are_usage_errors(tmp_path, capsys):
-    config = tmp_path / "gates.cfg"
-    config.write_text("gates =\n")
+def test_unknown_gate_families_are_usage_errors(capsys):
     for command in (["evolve", "--length", "3"], ["sweep", "--lengths", "2,3"]):
         status, out, err = run_cli(capsys, *command, "--qubits", "3", "--gates", "H,FOO", "--gens", "0")
         assert status == EX_USAGE
         assert out == ""
         assert "unknown gate families ['FOO']" in err
-        # An empty list, by flag or config file, is refused rather than read as the default.
-        for gates in (["--gates", ","], ["--gates", ""], ["--config", str(config)]):
+        # An empty list is refused rather than read as the default.
+        for gates in (["--gates", ","], ["--gates", ""]):
             status, out, err = run_cli(capsys, *command, "--qubits", "3", *gates, "--gens", "0")
             assert status == EX_USAGE, gates
             assert out == ""
@@ -318,20 +332,12 @@ def test_targets_that_are_not_finite_are_usage_errors(capsys):
         assert "target fitness must be finite" in err
 
 
-def test_negative_seeds_are_usage_errors(tmp_path, capsys, monkeypatch):
-    config = tmp_path / "seed.cfg"
-    config.write_text("qubits = 3\nlength = 3\nseed = -1\n")
+def test_negative_seeds_are_usage_errors(capsys):
     for command in (["evolve", "--length", "3"], ["sweep", "--lengths", "1,2"]):
-        for env, flags in (({}, ["--qubits", "3", "--seed", "-1"]),
-                           ({"ENTANGLER_SEED": "-1"}, ["--qubits", "3"]),
-                           ({}, ["--config", str(config)])):
-            with monkeypatch.context() as patch:
-                for name, value in env.items():
-                    patch.setenv(name, value)
-                status, out, err = run_cli(capsys, *command, *flags, "--gens", "0")
-            assert status == EX_USAGE
-            assert out == ""
-            assert "RNG seed must be nonnegative, got -1" in err
+        status, out, err = run_cli(capsys, *command, "--qubits", "3", "--seed", "-1", "--gens", "0")
+        assert status == EX_USAGE
+        assert out == ""
+        assert "RNG seed must be nonnegative, got -1" in err
 
 
 def test_evolve_csv_history(capsys):
@@ -352,72 +358,18 @@ def test_evolve_record_replay(tmp_path, capsys):
     assert json.loads(first)["result"] == json.loads(second)["result"]
 
 
-def test_evolve_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("ENTANGLER_SEED", "42")
-    _, from_env, _ = run_cli(capsys, "evolve", "--qubits", "3", "--length", "4", "--gens", "5")
-    monkeypatch.delenv("ENTANGLER_SEED")
-    _, from_flag, _ = run_cli(capsys, "evolve", "--qubits", "3", "--length", "4", "--gens", "5", "--seed", "42")
-    assert json.loads(from_env)["result"] == json.loads(from_flag)["result"]
+ALL_GA_FLAGS = ["--qubits", "3", "--gates", "H,CNOT,T", "--length", "4", "--target", "max",
+                "--pop", "20", "--gens", "6", "--seed", "5", "--mutation-rate", "0.3",
+                "--crossover-rate", "0.8", "--tournament", "3", "--elite", "2"]
 
 
-def test_evolve_config_file_with_flag_override(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("qubits = 3\nlength = 4\ngens = 5\nseed = 9  # comment\n")
-    _, from_file, _ = run_cli(capsys, "evolve", "--config", str(config))
-    _, from_flags, _ = run_cli(capsys, "evolve", "--qubits", "3", "--length", "4",
-                               "--gens", "5", "--seed", "9")
-    assert json.loads(from_file)["result"] == json.loads(from_flags)["result"]
-    # a flag beats the file
-    _, overridden, _ = run_cli(capsys, "evolve", "--config", str(config), "--seed", "10")
-    assert json.loads(overridden)["config"]["rng_seed"] == 10
-
-
-ALL_KEYS_FILE = """\
-qubits = 3
-gates = H,CNOT,T
-length = 4
-target = max
-pop = 20
-gens = 6
-seed = 5
-mutation_rate = 0.3
-crossover_rate = 0.8
-tournament = 3
-elite = 2
-"""
-ALL_KEYS_FLAGS = ["--qubits", "3", "--gates", "H,CNOT,T", "--length", "4", "--target", "max",
-                  "--pop", "20", "--gens", "6", "--seed", "5", "--mutation-rate", "0.3",
-                  "--crossover-rate", "0.8", "--tournament", "3", "--elite", "2"]
-
-
-def test_config_file_sets_every_key(tmp_path, capsys):
-    config = tmp_path / "all.cfg"
-    config.write_text(ALL_KEYS_FILE)
-    status, from_file, _ = run_cli(capsys, "evolve", "--config", str(config))
+def test_every_ga_flag_sets_its_config_field(capsys):
+    status, out, _ = run_cli(capsys, "evolve", *ALL_GA_FLAGS)
     assert status in (EX_OK, EX_BUDGET)
-    _, from_flags, _ = run_cli(capsys, "evolve", *ALL_KEYS_FLAGS)
-    file_record, flag_record = json.loads(from_file), json.loads(from_flags)
-    assert file_record["config"] == flag_record["config"]
-    assert file_record["config"] == {
+    assert json.loads(out)["config"] == {
         "n": 3, "circuit_length": 4, "families": ["H", "CNOT", "T"], "population_size": 20,
         "max_generations": 6, "crossover_rate": 0.8, "per_gene_mutation_rate": 0.3,
         "tournament_size": 3, "elite_count": 2, "target_fitness": 1.5, "rng_seed": 5}
-    assert file_record["result"] == flag_record["result"]
-
-
-def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path, capsys):
-    config = tmp_path / "run.cfg"
-    config.write_text("qubits = 3\nlength = 4\npopulation = 20\n")
-    status, _, err = run_cli(capsys, "evolve", "--config", str(config))
-    assert status == EX_USAGE
-    assert "unknown config keys ['population']" in err
-    config.write_text("qubits = 3\nlength = 4\ngens = 2\npop = many\n")
-    status, _, err = run_cli(capsys, "evolve", "--config", str(config))
-    assert status == EX_USAGE
-    assert "config key pop has bad value 'many'" in err
-    # A flag that overrides the bad value leaves it unread.
-    status, _, _ = run_cli(capsys, "evolve", "--config", str(config), "--pop", "10")
-    assert status == EX_OK
 
 
 def test_evolve_writes_output_file(tmp_path, capsys):
@@ -445,7 +397,8 @@ def test_usage_error_names_only_the_missing_flags(capsys, argv, missing):
     status, out, err = run_cli(capsys, *argv)
     assert status == EX_USAGE
     assert out == ""
-    assert f"{missing} (by flag or config file)" in err
+    flags = ", ".join(re.findall(r"--[a-z]+", missing))
+    assert err.endswith(f"usage error: the following arguments are required: {flags}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -518,7 +471,7 @@ def test_sweep_checks_every_length_before_the_first_run(monkeypatch, capsys):
 
 _GA_FLAGS = ["--qubits", "--gates", "--pop", "--gens", "--seed", "--mutation-rate",
              "--crossover-rate", "--tournament", "--elite"]
-_GA_TAIL = ["--target", "--workers", "--config", "--format"]
+_GA_TAIL = ["--target", "--workers", "--format"]
 _SUBJECT_FLAGS = ["--circuit", "--catalog", "--qubits", "--out"]
 # Each subcommand's long flags, in the order --help lists them.
 _HELP_FLAGS = {
@@ -543,15 +496,13 @@ def test_every_subcommand_help_lists_each_flag_once(command, capsys):
 # --- input files -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", [["evaluate", "--circuit"], ["trace", "--circuit"], ["evolve", "--config"]],
-                         ids=" ".join)
+@pytest.mark.parametrize("command", [["evaluate", "--circuit"], ["trace", "--circuit"]], ids=" ".join)
 def test_input_files_are_read_up_to_a_fixed_cap(command, tmp_path, capsys):
     cap = cli_module.MAX_INPUT_BYTES
     at_cap = tmp_path / "at_cap"
-    head = b"H(0); CNOT(0,1)\n" if command[1] == "--circuit" else b"# padded with spaces\n"
+    head = b"H(0); CNOT(0,1)\n"
     at_cap.write_bytes(head + b" " * (cap - len(head)))
-    status, _, err = run_cli(capsys, *command, str(at_cap), "--qubits", "2",
-                             *(["--length", "1", "--gens", "0", "--pop", "2"] if command[0] == "evolve" else []))
+    status, _, err = run_cli(capsys, *command, str(at_cap), "--qubits", "2")
     assert status == EX_OK, err
     over = tmp_path / "over"
     over.write_bytes(at_cap.read_bytes() + b"\n")
@@ -616,10 +567,6 @@ def fuzz_dir(tmp_path_factory):
     (path / "empty.qc").write_text("\n")
     (path / "binary.qc").write_bytes(b"\xff\xfe\x00H(0)")
     (path / "folder").mkdir()
-    (path / "run.cfg").write_text("qubits = 4\nlength = 5\ngates = H,CZ,T\nseed = 3\n")
-    (path / "seed.cfg").write_text("qubits = 3\nlength = 3\nseed = -1\n")
-    (path / "max.cfg").write_text("qubits = 2000\nlength = 3\ntarget = max\n")
-    (path / "bad.cfg").write_text("qubits = 3\npop = many\nlanguage = python\n")
     return path
 
 
@@ -672,14 +619,12 @@ _FUZZ_GA_OPTIONS = {
     "--crossover-rate": st.sampled_from(("0", "0.9", "1", "0.5", "nan", "1.5")),
     "--tournament": st.sampled_from(("1", "2", "1", "2", "9" * 30)),
     "--elite": st.sampled_from(("1", "1", "1", "0")),
-    "--config": st.sampled_from(("run.cfg", "run.cfg", "seed.cfg", "max.cfg", "bad.cfg", "binary.qc",
-                                 "missing.cfg", "folder")),
     "--format": st.sampled_from(("json", "csv", "json", "csv", "xml")),
     "--out": st.sampled_from(("-", "out.txt", "-", "folder")),
 }
 # Each option appears or not, so that combinations such as a huge --qubits
 # with --target max come up often.  --qubits is left out a fifth of the
-# time (a --config file may give it); one arbitrary word comes rarely.
+# time; one arbitrary word comes rarely.
 _FUZZ_GA_ARGV = st.tuples(
     _FUZZ_GA_COMMAND,
     _FUZZ_GA_QUBITS.map(lambda qubits: [] if qubits is None else ["--qubits", qubits]),
@@ -715,7 +660,7 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(fuzz_dir, argv):
 
 @given(argv=_FUZZ_GA_ARGV)
 @example(argv=["evolve", "--length", "3", "--qubits", "2000", "--target", "max", *_FUZZ_GA_TAIL])
-@example(argv=["sweep", "--lengths", "3", "--config", "max.cfg", *_FUZZ_GA_TAIL])
+@example(argv=["sweep", "--lengths", "3", "--qubits", "2000", "--target", "max", *_FUZZ_GA_TAIL])
 @settings(max_examples=300)
 def test_fuzzed_ga_argv_ends_in_a_documented_exit_code(fuzz_dir, argv):
     status, err = _run_in(fuzz_dir, argv)

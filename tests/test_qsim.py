@@ -8,6 +8,7 @@ from entangler.qsim import (
     GATE_KINDS,
     GATE_MATRICES,
     MAX_QUBITS,
+    RENORM_TOL,
     SINGLE_QUBIT_KINDS,
     TWO_QUBIT_KINDS,
     Circuit,
@@ -164,6 +165,19 @@ def test_circuit_5a_reproduces_its_eight_term_state():
 def test_run_circuit_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="qubits"):
         run_circuit(Circuit(3, ()), zero_state(2))
+
+
+def test_run_circuit_renormalizes_a_drifted_state():
+    # 10,000 Hadamards are the identity, but rounding moves the norm past
+    # RENORM_TOL; StateVector would refuse the state if run_circuit kept it.
+    circuit = Circuit(2, (GateSpec("H", (0,)),) * 10_000)
+    amps = zero_state(2).amplitudes.copy()
+    for gate in circuit.gates:
+        _apply_gate_inplace(amps, gate, 2)
+    assert abs(np.vdot(amps, amps).real - 1.0) > RENORM_TOL
+    out = run_circuit(circuit, zero_state(2)).amplitudes
+    assert abs(np.vdot(out, out).real - 1.0) <= 1e-15
+    assert np.allclose(out, zero_state(2).amplitudes, rtol=0, atol=1e-9)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), size=st.integers(0, 6))
