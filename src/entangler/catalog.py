@@ -7,6 +7,7 @@ Expected totals let tests and the CLI check every entry end to end.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -185,7 +186,7 @@ def catalog_entries() -> list[NamedEntry]:
 
 def permute_qubits(state: StateVector, permutation: Sequence[int]) -> StateVector:
     """Relabel qubits: bit i of each basis index moves to bit permutation[i]."""
-    perm = tuple(int(p) for p in permutation)
+    perm = tuple(operator.index(p) for p in permutation)
     if sorted(perm) != list(range(state.n)):
         raise ValueError(f"{perm} is not a permutation of 0..{state.n - 1}")
     # Axis n - 1 - q of the (2,)*n tensor is qubit q.

@@ -20,6 +20,7 @@ its first scoring stored.  The memo dies with the run.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -98,7 +99,7 @@ def _placed(genes: Chromosome, gate_set: GateSet) -> list[GateSpec]:
     picked = []
     # A population row becomes Python ints, cheaper to check than numpy scalars.
     for pos, g in enumerate(genes.tolist() if isinstance(genes, np.ndarray) else genes):
-        g = int(g)
+        g = operator.index(g)
         if not 0 <= g < size:
             raise ValueError(f"gene {g} at position {pos} outside the table range [0, {size - 1}]")
         picked.append(table[g])
@@ -154,6 +155,10 @@ class GAConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # numpy ints pass and are stored as ints; floats and strings are refused.
+        for name in ("n", "circuit_length", "population_size", "max_generations",
+                     "tournament_size", "elite_count", "rng_seed"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         object.__setattr__(self, "families", tuple(f.upper() for f in self.families))
         _check_families(self.families)
         _check_scored(self.n)
@@ -375,7 +380,7 @@ def length_sweep(config: GAConfig, lengths: Sequence[int], workers: int = 1) -> 
     repeated length is refused after that, since it would rerun one GA."""
     if not lengths:
         raise ValueError("need at least one length to sweep")
-    configs = [replace(config, circuit_length=int(length)) for length in lengths]
+    configs = [replace(config, circuit_length=length) for length in lengths]
     configs = [replace(sub, rng_seed=sweep_seed(config.rng_seed, sub.circuit_length)) for sub in configs]
     if len({sub.circuit_length for sub in configs}) < len(configs):
         raise ValueError(f"each length may be swept once, got {[sub.circuit_length for sub in configs]}")

@@ -11,6 +11,7 @@ right-to-left matrix-product order via ``paper_order=True``.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,7 +44,7 @@ NORM_ERROR_TOL = 1e-9
 
 @dataclass(frozen=True)
 class GateSpec:
-    """One elementary gate with its qubit arguments.
+    """One elementary gate with its qubit arguments, an iterable of labels.
 
     For CNOT the first argument is the control and the second the target.
     """
@@ -54,9 +55,7 @@ class GateSpec:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}; expected one of {GATE_KINDS}")
-        args = self.args if isinstance(self.args, tuple) else (
-            tuple(self.args) if isinstance(self.args, (list, np.ndarray)) else (self.args,))
-        args = tuple(int(a) for a in args)
+        args = tuple(operator.index(a) for a in self.args)  # numpy ints pass, floats are refused
         object.__setattr__(self, "args", args)
         want = 1 if self.kind in SINGLE_QUBIT_KINDS else 2
         if len(args) != want:
@@ -203,11 +202,8 @@ def _apply_gate_inplace(amps: np.ndarray, gate: GateSpec, n: int) -> None:
 
 
 def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
-    """Return the state after one gate; the input state is untouched."""
-    gate.validate_for(state.n)
-    amps = state.amplitudes.copy()
-    _apply_gate_inplace(amps, gate, state.n)
-    return StateVector(state.n, amps)
+    """Return the state after one gate: run_circuit of the one-gate circuit."""
+    return run_circuit(Circuit(state.n, (gate,)), state)
 
 
 def run_circuit(circuit: Circuit, initial: StateVector) -> StateVector:
@@ -232,17 +228,15 @@ def nonzero_coefficient_count(state: StateVector, tol: float = 1e-9) -> int:
     return int((np.abs(state.amplitudes) > tol).sum())
 
 
-def allclose_up_to_phase(a: StateVector | np.ndarray, b: StateVector | np.ndarray,
-                         tol: float = 1e-10) -> bool:
-    """Componentwise agreement after fixing one global phase.
+def allclose_up_to_phase(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
+    """Componentwise agreement after fixing one global phase; False across qubit counts.
 
     The phase factor is pinned on the first amplitude of `a` whose modulus
     exceeds tol.
     """
-    va = a.amplitudes if isinstance(a, StateVector) else np.asarray(a, dtype=complex)
-    vb = b.amplitudes if isinstance(b, StateVector) else np.asarray(b, dtype=complex)
-    if va.shape != vb.shape:
+    if a.n != b.n:
         return False
+    va, vb = a.amplitudes, b.amplitudes
     lead = np.flatnonzero(np.abs(va) > tol)
     if lead.size == 0:
         return bool(np.all(np.abs(vb) <= tol))

@@ -200,6 +200,12 @@ def test_relabeled_pairs_share_the_entanglement_fingerprint(pair):
 def test_permute_qubits_rejects_non_permutations():
     with pytest.raises(ValueError):
         permute_qubits(named_state("psi4a"), (0, 0, 1, 2))
+    for entry in (1.0, "1"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            permute_qubits(named_state("psi4a"), (0, entry, 2, 3))
+    swapped = permute_qubits(named_state("psi4a"), (1, 0, 2, 3))
+    assert np.array_equal(permute_qubits(named_state("psi4a"), np.array([1, 0, 2, 3])).amplitudes,
+                          swapped.amplitudes)
 
 
 # --- lookups ------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entangler import cli as cli_module
+from entangler import entanglement as entanglement_module
 from entangler.catalog import catalog_entries
 from entangler.cli import EX_BUDGET, EX_ERROR, EX_OK, EX_PARSE, EX_USAGE, main
 
@@ -54,6 +55,16 @@ def test_evaluate_validate_mode(capsys):
     status, out, _ = run_cli(capsys, "evaluate", "--catalog", "psi5a", "--validate", "--format", "json")
     assert status == EX_OK
     assert json.loads(out)["total"] == 17.5
+
+
+def test_validate_exits_1_when_the_two_paths_disagree(monkeypatch, capsys):
+    schmidt = entanglement_module._cut_negativities
+    monkeypatch.setattr(entanglement_module, "_cut_negativities",
+                        lambda amps, n, values=None: [v + 1e-3 for v in schmidt(amps, n)])
+    status, out, err = run_cli(capsys, "evaluate", "--catalog", "ghz4", "--validate")
+    assert status == EX_ERROR
+    assert out == ""
+    assert re.fullmatch(r"entangler: error: path disagreement on cut \{0\}: schmidt 0\.50\d+ vs eigen 0\.\d+\n", err)
 
 
 def test_validate_is_refused_above_nine_qubits_before_any_scoring(monkeypatch, capsys):
@@ -518,10 +529,15 @@ def test_input_files_are_read_up_to_a_fixed_cap(command, tmp_path, capsys):
         assert f"{path} is larger than {cap} bytes" in err
         assert "Traceback" not in err
         assert peak < 2 * cap
-    for path in (tmp_path / "missing", tmp_path):
+    # Not UTF-8: read as UTF-8 on every host, whatever its locale.
+    not_text = tmp_path / "not_text.qc"
+    not_text.write_bytes(b"H(0);\xff\xfe CNOT(0,1)")
+    for path in (tmp_path / "missing", tmp_path, not_text):
         status, out, err = run_cli(capsys, *command, str(path))
         assert status == EX_USAGE
+        assert out == ""
         assert f"cannot read {path}" in err
+    assert "'utf-8' codec can't decode byte 0xff in position 5" in err
 
 
 # --- output files --------------------------------------------------------------

@@ -33,6 +33,7 @@ def test_cuts_for_three_qubits():
     cuts = enumerate_cuts(3)
     assert [c.members for c in cuts] == [frozenset({0}), frozenset({0, 1}), frozenset({0, 2})]
     assert [c.mask for c in cuts] == [1, 3, 5]
+    assert [str(c) for c in cuts] == ["{0}", "{0,1}", "{0,2}"]
 
 
 def test_single_cut_for_two_qubits():
@@ -178,6 +179,14 @@ def test_psi6a_saturates_every_three_cut():
 def test_unknown_method_rejected():
     with pytest.raises(ValueError, match="unknown method"):
         cut_negativity(bell_state(), Cut(1, 2), method="guess")
+
+
+@pytest.mark.parametrize("score", [
+    cut_negativity, lambda state, cut: cut_negativity(state, cut, method="eigen"), partial_transpose_spectrum,
+], ids=["schmidt", "eigen", "spectrum"])
+def test_cuts_for_another_qubit_count_are_refused(score):
+    with pytest.raises(ValueError, match="cut is for 4 qubits but the state has 3"):
+        score(zero_state(3), Cut(1, 4))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))

@@ -85,6 +85,7 @@ def test_gate_set_rejects_bad_input():
 def test_decode_single_gene():
     gs = build_gate_set(2, ("H", "CNOT"))
     assert decode([0], gs) == Circuit(2, (GateSpec("H", (0,)),))
+    assert decode([np.int64(0)], gs) == decode(np.array([0], dtype=np.uint8), gs) == decode([0], gs)
 
 
 def test_decode_empty_chromosome():
@@ -154,6 +155,14 @@ def test_fitness_refuses_genes_outside_the_table(genes):
         fitness(genes, gs)
     with pytest.raises(ValueError, match="outside the table"):
         fitness(np.array(genes), gs)
+
+
+@pytest.mark.parametrize("genes", [[1.7, 3.2], [0, 1.0], ["1"], np.array([1.0, 2.0])], ids=repr)
+def test_decode_and_fitness_refuse_genes_that_are_not_integers(genes):
+    gs = build_gate_set(2, ("H", "CNOT"))
+    for read in (decode, fitness):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            read(genes, gs)
 
 
 def test_fitness_is_pure():
@@ -272,6 +281,26 @@ def test_memo_stays_within_its_byte_bound_at_twelve_qubits(monkeypatch):
 def test_invalid_configs_are_rejected(kwargs):
     with pytest.raises(ValueError):
         GAConfig(**kwargs)
+
+
+_INTEGER_FIELDS = dict(n=3, circuit_length=3, population_size=10, max_generations=5,
+                       tournament_size=2, elite_count=1, rng_seed=7)
+
+
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_integer_config_fields_refuse_fractions(field):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        GAConfig(**{**_INTEGER_FIELDS, field: 1.5})
+    with pytest.raises(TypeError, match="'str' object cannot be interpreted as an integer"):
+        GAConfig(**{**_INTEGER_FIELDS, field: "2"})
+
+
+def test_integer_config_fields_store_numpy_ints_as_ints():
+    config = GAConfig(**{field: np.int64(value) for field, value in _INTEGER_FIELDS.items()})
+    assert config == GAConfig(**_INTEGER_FIELDS)
+    record = config.to_dict()
+    assert all(type(record[field]) is int for field in _INTEGER_FIELDS)
+    assert json.loads(json.dumps(record))["rng_seed"] == 7
 
 
 def test_default_mutation_rate_is_one_over_length():
@@ -508,14 +537,25 @@ def test_length_sweep_matches_exhaustive_search():
     oracle = [exhaustive_best(3, length) for length in (1, 2, 3)]
     assert np.allclose(oracle, [0.0, 1.0, 1.5], atol=1e-9)
     config = GAConfig(n=3, circuit_length=1, population_size=60, max_generations=40, rng_seed=11)
-    swept = length_sweep(config, [1, 2, 3])
+    swept = length_sweep(config, [1, np.int64(2), 3])
     assert [length for length, _ in swept] == [1, 2, 3]
+    assert all(type(length) is int for length, _ in swept)
     assert np.allclose([best for _, best in swept], oracle, atol=1e-9)
 
 
 def test_length_sweep_needs_lengths():
     with pytest.raises(ValueError):
         length_sweep(GAConfig(n=3, circuit_length=1), [])
+
+
+@pytest.mark.parametrize("lengths", [[2.7], [2, 3.0], ["2"]], ids=repr)
+def test_length_sweep_refuses_lengths_that_are_not_integers(monkeypatch, lengths):
+    def no_ga(*args, **kwargs):
+        raise AssertionError("a GA ran")
+
+    monkeypatch.setattr(evolve_module, "evolve", no_ga)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        length_sweep(GAConfig(n=3, circuit_length=1), lengths)
 
 
 def test_sweep_seeds_are_deterministic_and_distinct():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entangler import qsim as qsim_module
 from entangler.qsim import (
     CNOT_ORDER_CACHE_SIZE,
     FLIP_INDEX_CACHE_SIZE,
@@ -47,6 +48,14 @@ def test_zero_state_three_qubits():
 def test_zero_state_rejects_out_of_range(bad_n):
     with pytest.raises(ValueError):
         zero_state(bad_n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_circuits_and_states_need_a_qubit(n):
+    with pytest.raises(ValueError, match=f"circuit needs at least 1 qubit, got n={n}"):
+        Circuit(n, ())
+    with pytest.raises(ValueError, match=f"state needs at least 1 qubit, got n={n}"):
+        StateVector(n, np.array([1.0], dtype=complex))
 
 
 def test_state_vector_requires_normalization():
@@ -138,6 +147,28 @@ def test_gate_spec_rejects_equal_two_qubit_labels():
         GateSpec("CNOT", (1, 1))
 
 
+@pytest.mark.parametrize("kind, args, error, message", [
+    ("H", (-1,), ValueError, "negative qubit label"),
+    ("CNOT", (0, -2), ValueError, "negative qubit label"),
+    ("CNOT", (0, 1.9), TypeError, "'float' object cannot be interpreted as an integer"),
+    ("H", (np.float64(1.0),), TypeError, "cannot be interpreted as an integer"),
+    ("CNOT", (0, "1"), TypeError, "'str' object cannot be interpreted as an integer"),
+    ("H", 0, TypeError, "not iterable"),
+    ("CZ", np.array([0.0, 1.0]), TypeError, "cannot be interpreted as an integer"),
+], ids=["negative", "negative target", "float", "numpy float", "string", "bare label", "float array"])
+def test_gate_spec_refuses_labels_that_are_not_natural_numbers(kind, args, error, message):
+    with pytest.raises(error, match=message):
+        GateSpec(kind, args)
+
+
+def test_gate_spec_takes_any_iterable_of_integer_labels():
+    cnot = GateSpec("CNOT", (0, 1))
+    for args in ([0, 1], np.array([0, 1]), (np.int64(0), np.uint8(1)), range(2), iter((0, 1))):
+        gate = GateSpec("CNOT", args)
+        assert gate == cnot
+        assert all(type(a) is int for a in gate.args)
+
+
 def test_run_ghz3_circuit():
     out = run_circuit(named_circuit("circuit_ghz3"), zero_state(3))
     expected = np.zeros(8, dtype=complex)
@@ -165,6 +196,29 @@ def test_circuit_5a_reproduces_its_eight_term_state():
 def test_run_circuit_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="qubits"):
         run_circuit(Circuit(3, ()), zero_state(2))
+
+
+def test_run_circuit_refuses_a_norm_that_drifts_past_the_error_bound(monkeypatch):
+    def scaling_kernel(amps, gate, n):
+        amps *= 1.001
+
+    monkeypatch.setattr(qsim_module, "_apply_gate_inplace", scaling_kernel)
+    with pytest.raises(RuntimeError, match="norm drifted by .* after 1 gates"):
+        run_circuit(Circuit(2, (GateSpec("H", (0,)),)), zero_state(2))
+    with pytest.raises(RuntimeError, match="norm drifted by .* after 1 gates"):
+        apply_gate(zero_state(2), GateSpec("H", (0,)))
+
+
+def test_chained_apply_gate_renormalizes_like_run_circuit():
+    # Kept as they came out of the kernel, the norm of these states would
+    # drift past RENORM_TOL after a few thousand gates, and StateVector would
+    # refuse the next one.
+    gate = GateSpec("H", (0,))
+    state = zero_state(2)
+    for _ in range(20_000):
+        state = apply_gate(state, gate)
+    whole = run_circuit(Circuit(2, (gate,) * 20_000), zero_state(2))
+    assert np.max(np.abs(state.amplitudes - whole.amplitudes)) <= 1e-9
 
 
 def test_run_circuit_renormalizes_a_drifted_state():
@@ -299,6 +353,14 @@ def test_allclose_up_to_phase():
     flipped = StateVector(5, -1j * state.amplitudes)
     assert allclose_up_to_phase(state, flipped)
     assert not allclose_up_to_phase(state, named_state("bssb5"))
+    # States on different qubit counts never agree.
+    assert not allclose_up_to_phase(zero_state(2), zero_state(3))
+    assert not allclose_up_to_phase(state, named_state("psi6a"))
+    # With no amplitude of a above tol, b must have none either.
+    hs4 = named_state("hs4")
+    assert np.abs(hs4.amplitudes).max() < 0.5
+    assert allclose_up_to_phase(hs4, hs4, tol=0.5)
+    assert not allclose_up_to_phase(hs4, zero_state(4), tol=0.5)
 
 
 # --- circuit text format ---------------------------------------------------
@@ -307,6 +369,7 @@ def test_allclose_up_to_phase():
 def test_parse_ghz3_text():
     circuit = parse_circuit("H(2); CNOT(2,1); CNOT(2,0)")
     assert circuit == named_circuit("circuit_ghz3")
+    assert str(circuit) == format_circuit(circuit) == "H(2); CNOT(2,1); CNOT(2,0)"
 
 
 def test_parse_tolerates_whitespace_and_newlines():
