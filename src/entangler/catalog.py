@@ -35,14 +35,14 @@ class NamedEntry:
 def ghz_circuit(n: int) -> Circuit:
     """n-gate preparation of the n-qubit GHZ state: H on the top qubit, then
     CNOTs fanning out from it, targets descending."""
-    _check_scored(n)
+    n = _check_scored(n)
     gates = [GateSpec("H", (n - 1,))] + [GateSpec("CNOT", (n - 1, m)) for m in range(n - 2, -1, -1)]
     return Circuit(n, tuple(gates))
 
 
 def ghz_state(n: int) -> StateVector:
     """(|00...0> + |11...1>)/sqrt(2)."""
-    _check_scored(n)
+    n = _check_scored(n)
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = _SQRT2_INV
     amps[-1] = _SQRT2_INV

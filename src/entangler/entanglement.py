@@ -29,7 +29,13 @@ which leaves that cut's singular values, and so its contribution, exactly as
 they were (Vidal, quant-ph/0301063).  So a single-qubit gate changes no cut,
 and a two-qubit gate on (a, b) changes only the half of the cuts that
 separate a from b; ``_cut_negativities`` fills just those, with one stacked
-SVD per cut size over their gathers.
+SVD per cut size over their gathers.  The trace also tracks components, the
+qubit sets the two-qubit gates so far have linked.  The state is a product of
+one state per component, so a cut has the Schmidt spectrum of the one
+entangled component it splits and contributes 0 if it splits none.  While a
+gate's component C is smaller than the register, C's cuts are scored on C's
+own 2^|C| amplitudes, and a register cut that splits no other multi-qubit
+component copies its value from C.
 
 Every scoring entry point, and everything that builds cuts, takes n from 2
 to qsim.MAX_QUBITS (``_check_scored``) and refuses any other n before it
@@ -70,7 +76,7 @@ class Cut:
     def __post_init__(self):
         mask = operator.index(self.mask)  # numpy ints pass, floats are refused
         object.__setattr__(self, "mask", mask)
-        _check_scored(self.n)
+        object.__setattr__(self, "n", _check_scored(self.n))
         if not mask & 1:
             raise ValueError(f"canonical cuts contain qubit 0, got mask {mask}")
         if not 0 < mask < (1 << self.n) - 1:
@@ -120,17 +126,19 @@ class EntanglementReport:
         }
 
 
-def _check_scored(n: int) -> None:
-    """The package's one qubit-range check: refuse an n with no cut or above MAX_QUBITS."""
+def _check_scored(n: int) -> int:
+    """The package's one qubit-range check: n as an int, refused with no cut or above MAX_QUBITS."""
+    n = operator.index(n)  # numpy ints pass, floats are refused
     if n < 2:
         raise ValueError(f"entanglement needs at least 2 qubits, got n={n}")
     if n > MAX_QUBITS:
         raise ValueError(f"scoring is capped at {MAX_QUBITS} qubits, got n={n}")
+    return n
 
 
 def enumerate_cuts(n: int) -> list[Cut]:
     """All 2^(n-1) - 1 canonical cuts, ascending by member bitmask."""
-    _check_scored(n)
+    n = _check_scored(n)
     return [Cut(mask, n) for mask in range(1, (1 << n) - 1, 2)]
 
 
@@ -146,7 +154,7 @@ def _cut_layouts(n: int) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
     cut masks[i], members indexing rows.  Group m sits at index m - 1.
     Read-only after construction, safe to share between threads and workers.
     """
-    _check_scored(n)
+    n = _check_scored(n)
     # Axis a of the (2,)*n index tensor is qubit n - 1 - a.  Taking each
     # side's axes in ascending order keeps its higher qubits more significant.
     indices = np.arange(1 << n, dtype=np.intp).reshape((2,) * n)
@@ -296,12 +304,25 @@ def max_entanglement_bound(n: int) -> float:
     whose marginals are all completely mixed; it is attained for n = 3, 5, 6
     but not for n = 4.
     """
-    _check_scored(n)
+    n = _check_scored(n)
     total = 0.0
     for size in range(1, n):
         k = min(size, n - size)
         total += comb(n - 1, size - 1) * (2**k - 1) / 2.0
     return total
+
+
+def _unscored(values: list, a: int, b: int) -> list:
+    """values with None at every cut that separates qubit a from qubit b (cut i has member mask 2i + 1)."""
+    return [None if ((2 * i + 1) >> a ^ (2 * i + 1) >> b) & 1 else value for i, value in enumerate(values)]
+
+
+def _unions(blocks) -> list[int]:
+    """Every union of the disjoint bitmasks blocks: entry l joins the blocks at the set bits of l."""
+    unions = [0]
+    for block in blocks:
+        unions += [union | block for union in unions]
+    return unions
 
 
 def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
@@ -312,21 +333,66 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     side of a cut is a local unitary U_A (x) U_B: it maps the cut's matrix M
     to U_A M U_B^T, whose singular values, and so whose contribution, are
     those of M.  So a single-qubit gate changes no cut, and a two-qubit gate
-    on (a, b) only the cuts with exactly one of a, b among the members.  A
-    kept value was scored on an earlier prefix, so an entry can differ from
-    total_entanglement of the same prefix in the last bits (within 1e-12).
+    on (a, b) only the cuts with exactly one of a, b among the members.
+
+    The qubits linked by the two-qubit gates so far form components, and the
+    state is a product of one state per component.  A cut of such a product
+    has the Schmidt spectrum of the one entangled component it splits, and
+    contributes 0 if it splits none: entry 0 takes no SVD.  A gate on (a, b)
+    in a component C smaller than the register scores C's own normalized
+    state, the column holding the largest amplitude of the amplitudes
+    reshaped along C (a rank-one matrix), over C's cuts: all of them when
+    the gate merges two components, those separating a from b after that.
+    A register cut separating a from b takes C's value when C is the only
+    multi-qubit component it splits; the others are scored on the whole
+    state, as is every cut once C is the whole register.
+
+    A kept value was scored on an earlier prefix or on a component's state,
+    so an entry can differ from total_entanglement of the same prefix in the
+    last bits (within 1e-12); a single-qubit step repeats the entry before it.
     """
-    n = circuit.n
-    _check_scored(n)
+    n = _check_scored(circuit.n)
+    register = (1 << n) - 1
     amps = zero_state(n).amplitudes.copy()
-    values = [None] * ((1 << (n - 1)) - 1)
+    groups = [1 << q for q in range(n)]  # groups[q]: member mask of qubit q's component
+    local: dict[int, list] = {}  # per-cut list of each multi-qubit component short of the register
+    values = [0.0] * ((1 << (n - 1)) - 1)
     trace = [(0, _total_negativity(amps, n, known=values))]
     for step, gate in enumerate(circuit.gates, start=1):
         _apply_gate_inplace(amps, gate, n)
         if len(gate.args) == 2:
             a, b = gate.args
-            # Cut i has member mask 2i + 1.
-            values = [None if ((2 * i + 1) >> a ^ (2 * i + 1) >> b) & 1 else value
-                      for i, value in enumerate(values)]
+            values = _unscored(values, a, b)
+            group_a, group_b = groups[a], groups[b]
+            joined = group_a | group_b
+            members = [q for q in range(n) if joined >> q & 1]
+            for q in members:
+                groups[q] = joined
+            if joined != register:
+                la, lb = members.index(a), members.index(b)
+                if group_a == group_b:
+                    cuts = _unscored(local[joined], la, lb)
+                else:
+                    cuts = None
+                    local.pop(group_a, None)
+                    local.pop(group_b, None)
+                # Local index l has bit j for qubit members[j]; amps holds
+                # psi_C (x) rest, so amps[spread | other bits of the top index]
+                # is psi_C times rest's largest amplitude.
+                spread = _unions(1 << q for q in members)
+                top = int(np.argmax(np.abs(amps)))
+                psi = amps[np.array(spread, dtype=np.intp) | (top & ~joined)]
+                psi /= np.linalg.norm(psi)
+                local[joined] = cuts = _cut_negativities(psi, len(members), cuts)
+                # A register cut is C's local side l joined with whole other
+                # components; canonical cuts hold qubit 0, from C or from them.
+                inside = joined & 1
+                outside = [u for u in _unions(g for g in set(groups) if g != joined) if inside or u & 1]
+                full = register >> (n - len(members))
+                for l, side in enumerate(spread):
+                    if (l >> la ^ l >> lb) & 1 and (l & 1 or not inside):
+                        value = cuts[(l if l & 1 else full ^ l) >> 1]
+                        for union in outside:
+                            values[(side | union) >> 1] = value
         trace.append((step, _total_negativity(amps, n, known=values)))
     return trace

@@ -79,7 +79,7 @@ def build_gate_set(n: int, families: Sequence[str]) -> GateSet:
     single-qubit family qubits ascend; within a two-qubit family ordered
     pairs (i, j) run in lexicographic order.  Takes the qubit range that
     scoring takes, since the circuits it encodes are only ever scored."""
-    _check_scored(n)
+    n = _check_scored(n)
     wanted = _check_families(families)
     ordered = tuple(kind for kind in GATE_KINDS if kind in wanted)
     table: list[GateSpec] = []
@@ -378,9 +378,9 @@ def length_sweep(config: GAConfig, lengths: Sequence[int], workers: int = 1) -> 
     """Best fitness per circuit length, each length with its own sub-seed.
     Every sub-config is built, and so checked, before the first GA runs; a
     repeated length is refused after that, since it would rerun one GA."""
-    if not lengths:
-        raise ValueError("need at least one length to sweep")
     configs = [replace(config, circuit_length=length) for length in lengths]
+    if not configs:  # a numpy array of lengths has no truth value
+        raise ValueError("need at least one length to sweep")
     configs = [replace(sub, rng_seed=sweep_seed(config.rng_seed, sub.circuit_length)) for sub in configs]
     if len({sub.circuit_length for sub in configs}) < len(configs):
         raise ValueError(f"each length may be swept once, got {[sub.circuit_length for sub in configs]}")

@@ -82,6 +82,7 @@ class Circuit:
     gates: tuple[GateSpec, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))  # numpy ints pass, floats are refused
         if self.n < 1:
             raise ValueError(f"circuit needs at least 1 qubit, got n={self.n}")
         gates = tuple(self.gates)
@@ -104,6 +105,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError(f"state needs at least 1 qubit, got n={self.n}")
         amps = np.array(self.amplitudes, dtype=complex)
@@ -118,6 +120,7 @@ class StateVector:
 
 def zero_state(n: int) -> StateVector:
     """|00...0> on n qubits; n = 1 simulates, though it has no cut to score."""
+    n = operator.index(n)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count must be in [1, {MAX_QUBITS}], got {n}")
     amps = np.zeros(1 << n, dtype=complex)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from entangler import entanglement as entanglement_module
 from entangler.catalog import ghz_circuit, ghz_state, named_circuit, named_state
 from entangler.entanglement import (
     Cut,
@@ -71,6 +72,18 @@ def test_cuts_scores_traces_and_gate_sets_take_one_qubit_range():
             build(1)
         with pytest.raises(ValueError, match="scoring is capped at 12 qubits, got n=13"):
             build(13)
+
+
+def test_qubit_counts_are_exact_integers():
+    for build in (enumerate_cuts, lambda n: Cut(1, n), lambda n: build_gate_set(n, ("H", "CNOT")),
+                  ghz_state, ghz_circuit, max_entanglement_bound):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build(3.0)
+    assert max_entanglement_bound(np.int64(3)) == max_entanglement_bound(3)
+    for built in (enumerate_cuts(np.int64(3))[0], Cut(1, np.int64(3)), build_gate_set(np.int64(3), ("H",)),
+                  ghz_state(np.int64(3)), ghz_circuit(np.int64(3))):
+        assert type(built.n) is int
+    assert entanglement_trace(Circuit(np.int64(3), ())) == [(0, 0.0)]
 
 
 def test_cut_must_contain_qubit_zero_and_be_proper():
@@ -411,3 +424,57 @@ def test_trace_rescores_only_the_cuts_a_gate_can_change(circuit):
         if k and len(gates[k - 1].args) == 1:
             assert value == steps[k - 1][1]
 
+
+@st.composite
+def _clustered_circuits(draw):
+    """Circuits on n = 2..9 that entangle up to three clusters apart, then join them late."""
+    n = draw(st.integers(2, 9))
+    table = build_gate_set(n, GATE_KINDS).table
+    cluster = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    within = [g for g in table if len({cluster[q] for q in g.args}) == 1]
+    across = [g for g in table if len({cluster[q] for q in g.args}) == 2]
+    gates = draw(st.lists(st.sampled_from(within), min_size=n, max_size=3 * n))
+    if across:
+        gates += draw(st.lists(st.sampled_from(across), max_size=3))
+    gates += draw(st.lists(st.sampled_from(table), max_size=4))
+    return Circuit(n, tuple(gates))
+
+
+@given(circuit=_clustered_circuits())
+# CZ(2, 3) entangles a pair beside the one on {0, 1}: the cut {0, 2} splits both, so the
+# whole state scores it.  CNOT(1, 2) then joins the pairs.
+@example(circuit=Circuit(4, tuple(GateSpec(kind, args) for kind, args in (
+    ("H", (0,)), ("CNOT", (0, 1)), ("T", (1,)), ("H", (1,)), ("H", (2,)), ("CZ", (2, 3)), ("T", (3,)),
+    ("H", (3,)), ("CNOT", (1, 2))))))
+@settings(max_examples=40)
+def test_trace_scores_separate_components_on_their_own_states(circuit):
+    n, gates = circuit.n, circuit.gates
+    steps = entanglement_trace(circuit)
+    for k, (_, value) in enumerate(steps):
+        exact = total_entanglement(run_circuit(Circuit(n, gates[:k]), zero_state(n))).total
+        assert abs(value - exact) <= 1e-12
+        if k and len(gates[k - 1].args) == 1:
+            assert value == steps[k - 1][1]
+
+
+def test_ghz_trace_scores_the_whole_register_only_at_its_last_cnot(monkeypatch):
+    n = 8
+    circuit = ghz_circuit(n)
+    applied, whole = [0], []
+    apply_gate_inplace = entanglement_module._apply_gate_inplace
+    stack_negativities = entanglement_module._stack_negativities
+
+    def counted_apply(amps, gate, n):
+        applied[0] += 1
+        apply_gate_inplace(amps, gate, n)
+
+    def recorded_stack(amps, gathers):
+        if gathers.shape[1] * gathers.shape[2] == 1 << n:
+            whole.append(applied[0])
+        return stack_negativities(amps, gathers)
+
+    monkeypatch.setattr(entanglement_module, "_apply_gate_inplace", counted_apply)
+    monkeypatch.setattr(entanglement_module, "_stack_negativities", recorded_stack)
+    steps = entanglement_trace(circuit)
+    assert whole and set(whole) == {len(circuit)}
+    assert abs(steps[-1][1] - ((1 << (n - 1)) - 1) / 2) < 1e-12

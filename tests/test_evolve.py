@@ -548,6 +548,15 @@ def test_length_sweep_needs_lengths():
         length_sweep(GAConfig(n=3, circuit_length=1), [])
 
 
+def test_length_sweep_takes_a_numpy_array_of_lengths():
+    config = GAConfig(n=3, circuit_length=1, population_size=20, max_generations=5, rng_seed=3)
+    swept = length_sweep(config, np.array([2, 3]))
+    assert swept == length_sweep(config, [2, 3])
+    assert all(type(length) is int for length, _ in swept)
+    with pytest.raises(ValueError, match="need at least one length to sweep"):
+        length_sweep(config, np.array([], dtype=int))
+
+
 @pytest.mark.parametrize("lengths", [[2.7], [2, 3.0], ["2"]], ids=repr)
 def test_length_sweep_refuses_lengths_that_are_not_integers(monkeypatch, lengths):
     def no_ga(*args, **kwargs):

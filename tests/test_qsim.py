@@ -58,6 +58,22 @@ def test_circuits_and_states_need_a_qubit(n):
         StateVector(n, np.array([1.0], dtype=complex))
 
 
+@pytest.mark.parametrize("n", [2.0, 2.5, np.float64(2), "2"], ids=repr)
+def test_qubit_counts_refuse_non_integers(n):
+    for build in (lambda: Circuit(n, ()), lambda: StateVector(n, np.array([1, 0, 0, 0], dtype=complex)),
+                  lambda: zero_state(n)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build()
+
+
+def test_qubit_counts_store_numpy_ints_as_ints():
+    n = np.int64(2)
+    circuit = Circuit(n, (GateSpec("H", (1,)),))
+    for built in (circuit, StateVector(n, np.array([1, 0, 0, 0], dtype=complex)), zero_state(n),
+                  run_circuit(circuit, zero_state(n))):
+        assert type(built.n) is int
+
+
 def test_state_vector_requires_normalization():
     with pytest.raises(ValueError, match="not normalized"):
         StateVector(1, np.array([1.0, 1.0], dtype=complex))
