@@ -50,7 +50,7 @@ MAX_VALIDATED_QUBITS = 9
 # Most cut rescorings trace takes on: each two-qubit gate on n qubits
 # rescores at most 2^(n-2) cuts of the whole state, about 0.43 ms each at
 # n = 12 (2-vCPU Xeon host), so the cap is about one minute of work.  A gate
-# inside a component of k < n qubits adds at most 2^(k-1) - 1 cuts of that
+# inside a component of k < n qubits adds at most 2^(k-2) cuts of that
 # component's 2^k amplitudes, each cheaper than a whole-state cut.  A larger
 # circuit exits 64 unscored.
 MAX_TRACE_CUTS = 1 << 17

@@ -33,9 +33,9 @@ SVD per cut size over their gathers.  The trace also tracks components, the
 qubit sets the two-qubit gates so far have linked.  The state is a product of
 one state per component, so a cut has the Schmidt spectrum of the one
 entangled component it splits and contributes 0 if it splits none.  While a
-gate's component C is smaller than the register, C's cuts are scored on C's
-own 2^|C| amplitudes, and a register cut that splits no other multi-qubit
-component copies its value from C.
+gate's component C is smaller than the register, C's cuts that separate a
+from b are scored on C's own 2^|C| amplitudes, and a register cut that
+splits no other multi-qubit component copies its value from C.
 
 Every scoring entry point, and everything that builds cuts, takes n from 2
 to qsim.MAX_QUBITS (``_check_scored``) and refuses any other n before it
@@ -341,11 +341,11 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     contributes 0 if it splits none: entry 0 takes no SVD.  A gate on (a, b)
     in a component C smaller than the register scores C's own normalized
     state, the column holding the largest amplitude of the amplitudes
-    reshaped along C (a rank-one matrix), over C's cuts: all of them when
-    the gate merges two components, those separating a from b after that.
-    A register cut separating a from b takes C's value when C is the only
-    multi-qubit component it splits; the others are scored on the whole
-    state, as is every cut once C is the whole register.
+    reshaped along C (a rank-one matrix), over C's cuts that separate a
+    from b, on a merge too: no other cut of C is read.  A register cut
+    separating a from b takes C's value when C is the only multi-qubit
+    component it splits; the others are scored on the whole state, as is
+    every cut once C is the whole register.
 
     A kept value was scored on an earlier prefix or on a component's state,
     so an entry can differ from total_entanglement of the same prefix in the
@@ -355,7 +355,6 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     register = (1 << n) - 1
     amps = zero_state(n).amplitudes.copy()
     groups = [1 << q for q in range(n)]  # groups[q]: member mask of qubit q's component
-    local: dict[int, list] = {}  # per-cut list of each multi-qubit component short of the register
     values = [0.0] * ((1 << (n - 1)) - 1)
     trace = [(0, _total_negativity(amps, n, known=values))]
     for step, gate in enumerate(circuit.gates, start=1):
@@ -363,19 +362,12 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
         if len(gate.args) == 2:
             a, b = gate.args
             values = _unscored(values, a, b)
-            group_a, group_b = groups[a], groups[b]
-            joined = group_a | group_b
+            joined = groups[a] | groups[b]
             members = [q for q in range(n) if joined >> q & 1]
             for q in members:
                 groups[q] = joined
             if joined != register:
                 la, lb = members.index(a), members.index(b)
-                if group_a == group_b:
-                    cuts = _unscored(local[joined], la, lb)
-                else:
-                    cuts = None
-                    local.pop(group_a, None)
-                    local.pop(group_b, None)
                 # Local index l has bit j for qubit members[j]; amps holds
                 # psi_C (x) rest, so amps[spread | other bits of the top index]
                 # is psi_C times rest's largest amplitude.
@@ -383,7 +375,7 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
                 top = int(np.argmax(np.abs(amps)))
                 psi = amps[np.array(spread, dtype=np.intp) | (top & ~joined)]
                 psi /= np.linalg.norm(psi)
-                local[joined] = cuts = _cut_negativities(psi, len(members), cuts)
+                cuts = _cut_negativities(psi, len(members), _unscored([0.0] * (len(spread) // 2 - 1), la, lb))
                 # A register cut is C's local side l joined with whole other
                 # components; canonical cuts hold qubit 0, from C or from them.
                 inside = joined & 1

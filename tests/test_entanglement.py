@@ -478,3 +478,29 @@ def test_ghz_trace_scores_the_whole_register_only_at_its_last_cnot(monkeypatch):
     steps = entanglement_trace(circuit)
     assert whole and set(whole) == {len(circuit)}
     assert abs(steps[-1][1] - ((1 << (n - 1)) - 1) / 2) < 1e-12
+
+
+def test_ghz_trace_scores_only_the_component_cuts_a_cnot_changes(monkeypatch):
+    # Gate k of ghz_circuit(8) is the CNOT that grows the one component to k
+    # qubits: of its 2^(k-1) - 1 cuts, only the 2^(k-2) that separate the
+    # CNOT's qubits are scored, merge or not.
+    n = 8
+    circuit = ghz_circuit(n)
+    applied, scored = [0], {}
+    apply_gate_inplace = entanglement_module._apply_gate_inplace
+    stack_negativities = entanglement_module._stack_negativities
+
+    def counted_apply(amps, gate, n):
+        applied[0] += 1
+        apply_gate_inplace(amps, gate, n)
+
+    def recorded_stack(amps, gathers):
+        by_size = scored.setdefault(applied[0], {})
+        by_size[amps.size] = by_size.get(amps.size, 0) + gathers.shape[0]
+        return stack_negativities(amps, gathers)
+
+    monkeypatch.setattr(entanglement_module, "_apply_gate_inplace", counted_apply)
+    monkeypatch.setattr(entanglement_module, "_stack_negativities", recorded_stack)
+    entanglement_trace(circuit)
+    for k in range(2, n):
+        assert scored[k] == {1 << k: 1 << (k - 2)}, k
