@@ -47,12 +47,12 @@ _VALIDATE_TOL = 1e-10
 # host, one BLAS thread), about ten times more per further qubit.
 MAX_VALIDATED_QUBITS = 9
 
-# Most cut rescorings trace takes on: each two-qubit gate on n qubits
-# rescores at most 2^(n-2) cuts of the whole state, about 0.43 ms each at
-# n = 12 (2-vCPU Xeon host), so the cap is about one minute of work.  A gate
-# inside a component of k < n qubits adds at most 2^(k-2) cuts of that
-# component's 2^k amplitudes, each cheaper than a whole-state cut.  A larger
-# circuit exits 64 unscored.
+# Most cut rescorings trace takes on, counted as 2^(n-2) per two-qubit gate:
+# a two-qubit gate scores at most 2^(k-2) cuts of its k-qubit component's
+# 2^k amplitudes, k <= n, and sets the rest of the cuts it changes by the
+# product rule.  A whole-state cut takes about 0.43 ms at n = 12 (2-vCPU
+# Xeon host), so the cap is about one minute of work.  A larger circuit
+# exits 64 unscored.
 MAX_TRACE_CUTS = 1 << 17
 
 # Largest --circuit file read, in bytes.  A larger one is refused before any

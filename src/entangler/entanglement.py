@@ -22,20 +22,20 @@ Two numerical paths compute a cut's contribution:
   indices and sums the negative eigenvalues.  Kept as the independent
   cross-check (CLI ``--validate``).
 
-A trace (``entanglement_trace``) keeps one per-cut list across the prefixes
-of a circuit and after each gate scores again only the cuts that gate can
-change.  A gate acting within one side of a cut is a local unitary there,
-which leaves that cut's singular values, and so its contribution, exactly as
-they were (Vidal, quant-ph/0301063).  So a single-qubit gate changes no cut,
-and a two-qubit gate on (a, b) changes only the half of the cuts that
-separate a from b; ``_cut_negativities`` fills just those, with one stacked
-SVD per cut size over their gathers.  The trace also tracks components, the
-qubit sets the two-qubit gates so far have linked.  The state is a product of
-one state per component, so a cut has the Schmidt spectrum of the one
-entangled component it splits and contributes 0 if it splits none.  While a
-gate's component C is smaller than the register, C's cuts that separate a
-from b are scored on C's own 2^|C| amplitudes, and a register cut that
-splits no other multi-qubit component copies its value from C.
+A trace (``entanglement_trace``) keeps every register cut's current
+contribution in one list across the prefixes of a circuit, and after each
+gate sets again only the cuts that gate can change.  A gate acting within
+one side of a cut is a local unitary there, which leaves that cut's singular
+values, and so its contribution, exactly as they were (Vidal,
+quant-ph/0301063).  So a single-qubit gate changes no cut, and a two-qubit
+gate on (a, b) changes only the half of the cuts that separate a from b.
+The trace also tracks components, the qubit sets the two-qubit gates so far
+have linked; the state is a product of one state per component.  A gate on
+(a, b) first scores its component C's cuts that separate a from b on C's
+own 2^|C| amplitudes, psi_C, with ``_cut_negativities(psi_C, |C|, apart)``:
+one stacked SVD per cut size over just those cuts.  Then the product rule
+gives each register cut that separates a from b its value, from C's value
+and the kept values of the other components the cut splits.
 
 Every scoring entry point, and everything that builds cuts, takes n from 2
 to qsim.MAX_QUBITS (``_check_scored``) and refuses any other n before it
@@ -186,28 +186,23 @@ def _stack_negativities(amps: np.ndarray, gathers: np.ndarray) -> list[float]:
     return values
 
 
-def _cut_negativities(amps: np.ndarray, n: int, values: list | None = None) -> list[float]:
+def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = None) -> list[float]:
     """Every canonical cut's contribution, ascending by mask (mask m at m >> 1).
 
-    values, when given, is such a list with None for the cuts to compute; it
-    is filled in place and returned, its other entries kept as they stand;
-    with no None in it, it is returned without walking the cuts.  Each cut
-    size still takes one stacked SVD, over just the missing cuts' gathers;
-    LAPACK factors each matrix of a stack on its own, so a cut scores the
-    same bits in a partial stack as in the full one.
+    apart=(a, b) scores only the cuts that separate qubit a from qubit b and
+    leaves 0.0 at the others: the cuts a two-qubit gate on (a, b) changes.
+    Each cut size still takes one stacked SVD, over just those cuts'
+    gathers; LAPACK factors each matrix of a stack on its own, so a cut
+    scores the same bits in a partial stack as in the full one.
     """
-    everything = values is None
-    if everything:
-        values = [0.0] * ((1 << (n - 1)) - 1)
-    elif None not in values:
-        return values
+    values = [0.0] * ((1 << (n - 1)) - 1)
     for _m, masks, gathers in _cut_layouts(n):
-        if not everything:
-            picked = [i for i, mask in enumerate(masks) if values[mask >> 1] is None]
+        if apart is not None:
+            a, b = apart
+            picked = [i for i, mask in enumerate(masks) if (mask >> a ^ mask >> b) & 1]
             if not picked:
                 continue
-            if len(picked) < len(masks):  # a whole group is scored without copying its gathers
-                masks, gathers = [masks[i] for i in picked], gathers[picked]
+            masks, gathers = [masks[i] for i in picked], gathers[picked]
         for mask, value in zip(masks, _stack_negativities(amps, gathers)):
             values[mask >> 1] = value
     return values
@@ -251,7 +246,7 @@ def _check_cut(state: StateVector, cut: Cut) -> None:
 
 
 def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | None = None,
-                      known: list | None = None) -> float:
+                      known: list[float] | None = None) -> float:
     """Fast scalar path used by the search loop and traces.
 
     Sums left to right in mask order; np.sum or a compensated sum would move
@@ -261,9 +256,9 @@ def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | No
     same SVD input, so a stored total is the one this call would compute.
     It is cleared whenever one more entry would take it past MEMO_MAX_BYTES.
 
-    known, when given, is the per-cut list _cut_negativities(amps, n, known)
-    fills: its None entries are computed in place and the rest summed as
-    they stand.  The search loop passes no list.
+    known, when given, is the trace's complete per-cut list for amps, every
+    cut's current contribution: it is summed left to right as it stands and
+    nothing is scored.  The search loop passes no list.
     """
     if memo is not None:
         key = amps.tobytes()
@@ -271,7 +266,7 @@ def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | No
         if total is not None:
             return total
     total = 0.0
-    for value in _cut_negativities(amps, n) if known is None else _cut_negativities(amps, n, known):
+    for value in _cut_negativities(amps, n) if known is None else known:
         total += value
     if memo is not None:
         if (len(memo) + 1) * (len(key) + MEMO_ENTRY_OVERHEAD) > MEMO_MAX_BYTES:
@@ -312,11 +307,6 @@ def max_entanglement_bound(n: int) -> float:
     return total
 
 
-def _unscored(values: list, a: int, b: int) -> list:
-    """values with None at every cut that separates qubit a from qubit b (cut i has member mask 2i + 1)."""
-    return [None if ((2 * i + 1) >> a ^ (2 * i + 1) >> b) & 1 else value for i, value in enumerate(values)]
-
-
 def _unions(blocks) -> list[int]:
     """Every union of the disjoint bitmasks blocks: entry l joins the blocks at the set bits of l."""
     unions = [0]
@@ -328,28 +318,32 @@ def _unions(blocks) -> list[int]:
 def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     """Total score after each prefix of the circuit; entry 0 is |0...0>.
 
-    One per-cut list is kept across prefixes, and after each gate only the
-    cuts that gate can change are scored again.  A gate acting within one
-    side of a cut is a local unitary U_A (x) U_B: it maps the cut's matrix M
-    to U_A M U_B^T, whose singular values, and so whose contribution, are
-    those of M.  So a single-qubit gate changes no cut, and a two-qubit gate
-    on (a, b) only the cuts with exactly one of a, b among the members.
+    One per-cut list holds every register cut's current contribution across
+    the prefixes, and after each gate only the cuts that gate can change are
+    set again.  A gate acting within one side of a cut is a local unitary
+    U_A (x) U_B: it maps the cut's matrix M to U_A M U_B^T, whose singular
+    values, and so whose contribution, are those of M.  So a single-qubit
+    gate changes no cut, and a two-qubit gate on (a, b) only the cuts with
+    exactly one of a, b among the members.
 
     The qubits linked by the two-qubit gates so far form components, and the
-    state is a product of one state per component.  A cut of such a product
-    has the Schmidt spectrum of the one entangled component it splits, and
-    contributes 0 if it splits none: entry 0 takes no SVD.  A gate on (a, b)
-    in a component C smaller than the register scores C's own normalized
-    state, the column holding the largest amplitude of the amplitudes
-    reshaped along C (a rank-one matrix), over C's cuts that separate a
-    from b, on a merge too: no other cut of C is read.  A register cut
-    separating a from b takes C's value when C is the only multi-qubit
-    component it splits; the others are scored on the whole state, as is
-    every cut once C is the whole register.
+    state is a product of one state per component: entry 0 takes no SVD.  A
+    gate on (a, b) joins component C.  First C's cuts that separate a from b
+    are scored on C's own state psi_C: the column holding the largest
+    amplitude of the amplitudes reshaped along C (a rank-one matrix),
+    normalized, or amps itself, uncopied, once C is the whole register.
+    Then the product rule: the sum s of a product state's Schmidt
+    coefficients is the product of its components' sums, and a cut
+    contributes (s^2 - 1)/2.  So a register cut R separating a from b takes
+    v_C, the value of R's side within C, as it stands if it splits no other
+    multi-qubit component, else (prod (2 v_g + 1) - 1)/2 over C and each
+    other component g it splits.  v_g is kept at the register cut that
+    splits g as R does and nothing else, which this gate does not change.
 
-    A kept value was scored on an earlier prefix or on a component's state,
-    so an entry can differ from total_entanglement of the same prefix in the
-    last bits (within 1e-12); a single-qubit step repeats the entry before it.
+    A kept value was scored on an earlier prefix or a component's state, or
+    comes from the product rule, so an entry can differ from
+    total_entanglement of the same prefix in the last bits (within 1e-12); a
+    single-qubit step repeats the entry before it.
     """
     n = _check_scored(circuit.n)
     register = (1 << n) - 1
@@ -361,30 +355,35 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
         _apply_gate_inplace(amps, gate, n)
         if len(gate.args) == 2:
             a, b = gate.args
-            values = _unscored(values, a, b)
             joined = groups[a] | groups[b]
             members = [q for q in range(n) if joined >> q & 1]
             for q in members:
                 groups[q] = joined
-            if joined != register:
-                la, lb = members.index(a), members.index(b)
-                # Local index l has bit j for qubit members[j]; amps holds
-                # psi_C (x) rest, so amps[spread | other bits of the top index]
-                # is psi_C times rest's largest amplitude.
-                spread = _unions(1 << q for q in members)
+            # Local index l has bit j for qubit members[j]; spread[l] is its register mask.
+            spread = _unions(1 << q for q in members)
+            if joined == register:
+                psi = amps
+            else:
+                # amps holds psi_C (x) rest, so amps[spread | other bits of the
+                # top index] is psi_C times rest's largest amplitude.
                 top = int(np.argmax(np.abs(amps)))
                 psi = amps[np.array(spread, dtype=np.intp) | (top & ~joined)]
                 psi /= np.linalg.norm(psi)
-                cuts = _cut_negativities(psi, len(members), _unscored([0.0] * (len(spread) // 2 - 1), la, lb))
-                # A register cut is C's local side l joined with whole other
-                # components; canonical cuts hold qubit 0, from C or from them.
-                inside = joined & 1
-                outside = [u for u in _unions(g for g in set(groups) if g != joined) if inside or u & 1]
-                full = register >> (n - len(members))
-                for l, side in enumerate(spread):
-                    if (l >> la ^ l >> lb) & 1 and (l & 1 or not inside):
-                        value = cuts[(l if l & 1 else full ^ l) >> 1]
-                        for union in outside:
-                            values[(side | union) >> 1] = value
+            la, lb = members.index(a), members.index(b)
+            local = _cut_negativities(psi, len(members), (la, lb))
+            full = len(spread) - 1
+            # v_C by R's side within C, for the sides that separate a from b.
+            part = {spread[l]: local[(l if l & 1 else full ^ l) >> 1]
+                    for l in range(len(spread)) if (l >> la ^ l >> lb) & 1}
+            others = [g for g in set(groups) if g != joined and g & (g - 1)]  # a lone qubit splits no cut
+            for cut in range(1, register, 2):
+                if (cut >> a ^ cut >> b) & 1:
+                    product = 1.0  # of 2 v_g + 1, v_g kept at the canonical register cut of g's side
+                    for g in others:
+                        side = cut & g
+                        if 0 < side < g:
+                            product *= 2.0 * values[(side if side & 1 else register ^ side) >> 1] + 1.0
+                    value = part[cut & joined]
+                    values[cut >> 1] = value if product == 1.0 else ((2.0 * value + 1.0) * product - 1.0) / 2.0
         trace.append((step, _total_negativity(amps, n, known=values)))
     return trace

@@ -228,8 +228,12 @@ class EvolutionResult:
 
 def _pool_size(workers: int, population_size: int) -> int:
     """Processes to start: none for a serial run, else at least one and at
-    most the individuals or CPUs there are.  The one place that refuses a
-    count above MAX_WORKERS; evolve() asks it before any process starts."""
+    most the individuals or CPUs there are.  The one place that reads the
+    count, an int (numpy ints pass, floats and strings are refused) from 0
+    to MAX_WORKERS; evolve() asks it before any process starts."""
+    workers = operator.index(workers)
+    if workers < 0:
+        raise ValueError(f"worker count must be at least 0, got {workers}")
     if workers > MAX_WORKERS:
         raise ValueError(f"worker count must be at most {MAX_WORKERS}, got {workers}")
     if workers <= 1:

@@ -60,7 +60,7 @@ def test_evaluate_validate_mode(capsys):
 def test_validate_exits_1_when_the_two_paths_disagree(monkeypatch, capsys):
     schmidt = entanglement_module._cut_negativities
     monkeypatch.setattr(entanglement_module, "_cut_negativities",
-                        lambda amps, n, values=None: [v + 1e-3 for v in schmidt(amps, n)])
+                        lambda amps, n, apart=None: [v + 1e-3 for v in schmidt(amps, n)])
     status, out, err = run_cli(capsys, "evaluate", "--catalog", "ghz4", "--validate")
     assert status == EX_ERROR
     assert out == ""

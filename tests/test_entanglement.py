@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -259,19 +261,18 @@ def test_stacked_scores_equal_per_cut_svds_bit_for_bit(seed, n, split):
     assert _total_negativity(amps, n) == total
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), data=st.data())
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
 @settings(max_examples=40)
-def test_partial_recomputation_fills_the_same_bits(seed, n, data):
-    # A cut scores the same bits in a stack of some cuts as in the stack of all.
+def test_partial_recomputation_fills_the_same_bits(seed, n):
+    # A cut scores the same bits in a stack of some cuts as in the stack of all:
+    # apart=(a, b) scores the cuts that separate a from b and leaves 0.0 elsewhere.
     amps = random_state(n, np.random.default_rng(seed)).amplitudes
     full = _cut_negativities(amps, n)
-    missing = data.draw(st.sets(st.integers(0, len(full) - 1)))
-    values = [None if i in missing else value for i, value in enumerate(full)]
-    assert _cut_negativities(amps, n, values) is values
-    assert values == full
-    known = [None if i in missing else value for i, value in enumerate(full)]
-    assert _total_negativity(amps, n, known=known) == _total_negativity(amps, n)
-    assert known == full
+    for a, b in permutations(range(n), 2):
+        values = _cut_negativities(amps, n, (a, b))
+        assert values == [full[i] if ((2 * i + 1) >> a ^ (2 * i + 1) >> b) & 1 else 0.0
+                          for i in range(len(full))]
+    assert _total_negativity(amps, n, known=full) == _total_negativity(amps, n)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
@@ -381,9 +382,10 @@ def test_circuit_5a_trace():
 
 
 def test_circuit_6a_trace_reaches_the_bound():
+    # Three Bell pairs at step 6, then joined: every cut that splits two or
+    # three pairs comes from the product rule until one component spans the register.
     values = [v for _, v in entanglement_trace(named_circuit("circuit_6a"))]
-    assert len(values) == 14
-    assert abs(values[-1] - 60.5) < 1e-9
+    assert np.allclose(values, [0, 0, 8, 8, 20, 20, 38, 41, 45.5, 45.5, 47.5, 47.5, 52.5, 60.5], atol=1e-9)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -440,16 +442,47 @@ def _clustered_circuits(draw):
     return Circuit(n, tuple(gates))
 
 
+def _register_join_step(circuit: Circuit) -> int:
+    """The step whose two-qubit gate first links every qubit, or len(circuit) + 1."""
+    parts = [{q} for q in range(circuit.n)]
+    for step, gate in enumerate(circuit.gates, start=1):
+        if len(gate.args) == 2:
+            joined = parts[gate.args[0]] | parts[gate.args[1]]
+            for q in joined:
+                parts[q] = joined
+            if len(joined) == circuit.n:
+                return step
+    return len(circuit) + 1
+
+
 @given(circuit=_clustered_circuits())
 # CZ(2, 3) entangles a pair beside the one on {0, 1}: the cut {0, 2} splits both, so the
-# whole state scores it.  CNOT(1, 2) then joins the pairs.
+# product rule gives it from the two pairs' values.  CNOT(1, 2) then joins the pairs.
 @example(circuit=Circuit(4, tuple(GateSpec(kind, args) for kind, args in (
     ("H", (0,)), ("CNOT", (0, 1)), ("T", (1,)), ("H", (1,)), ("H", (2,)), ("CZ", (2, 3)), ("T", (3,)),
     ("H", (3,)), ("CNOT", (1, 2))))))
 @settings(max_examples=40)
 def test_trace_scores_separate_components_on_their_own_states(circuit):
     n, gates = circuit.n, circuit.gates
-    steps = entanglement_trace(circuit)
+    applied, whole = [0], []
+    apply_gate_inplace = entanglement_module._apply_gate_inplace
+    stack_negativities = entanglement_module._stack_negativities
+
+    def counted_apply(amps, gate, n):
+        applied[0] += 1
+        apply_gate_inplace(amps, gate, n)
+
+    def recorded_stack(amps, gathers):
+        if amps.size == 1 << n:
+            whole.append(applied[0])
+        return stack_negativities(amps, gathers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(entanglement_module, "_apply_gate_inplace", counted_apply)
+        patch.setattr(entanglement_module, "_stack_negativities", recorded_stack)
+        steps = entanglement_trace(circuit)
+    # No cut is scored on the whole state while the register is still split.
+    assert min(whole, default=len(gates) + 1) >= _register_join_step(circuit)
     for k, (_, value) in enumerate(steps):
         exact = total_entanglement(run_circuit(Circuit(n, gates[:k]), zero_state(n))).total
         assert abs(value - exact) <= 1e-12

@@ -399,6 +399,28 @@ def test_too_many_workers_are_refused_before_any_pool(spy_pool, capsys):
     assert spy_pool == []
 
 
+def test_worker_counts_are_exact_nonnegative_integers(spy_pool, monkeypatch, capsys):
+    monkeypatch.setattr(evolve_module.os, "cpu_count", lambda: 2)
+    config = GAConfig(n=3, circuit_length=3, population_size=4, max_generations=1)
+    for workers in (2.5, 1.5, "2", 2.0):
+        with pytest.raises(TypeError):
+            evolve(config, workers=workers)
+        with pytest.raises(TypeError):
+            length_sweep(config, [1, 2], workers=workers)
+    for workers in (-1, -5):
+        with pytest.raises(ValueError, match=f"worker count must be at least 0, got {workers}"):
+            evolve(config, workers=workers)
+        with pytest.raises(ValueError, match=f"worker count must be at least 0, got {workers}"):
+            length_sweep(config, [1, 2], workers=workers)
+    for command in (["evolve", "--length", "3"], ["sweep", "--lengths", "1,2"]):
+        status = cli_main([*command, "--qubits", "3", "--pop", "4", "--gens", "1", "--workers", "-5"])
+        assert status == EX_USAGE
+        assert "worker count must be at least 0, got -5" in capsys.readouterr().err
+    assert spy_pool == []
+    assert evolve(config, workers=np.int64(2)) == evolve(config, workers=1)
+    assert spy_pool == [2]
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
