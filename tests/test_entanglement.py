@@ -385,7 +385,8 @@ def test_circuit_6a_trace_reaches_the_bound():
     # Three Bell pairs at step 6, then joined: every cut that splits two or
     # three pairs comes from the product rule until one component spans the register.
     values = [v for _, v in entanglement_trace(named_circuit("circuit_6a"))]
-    assert np.allclose(values, [0, 0, 8, 8, 20, 20, 38, 41, 45.5, 45.5, 47.5, 47.5, 52.5, 60.5], atol=1e-9)
+    np.testing.assert_allclose(values, [0, 0, 8, 8, 20, 20, 38, 41, 45.5, 45.5, 47.5, 47.5, 52.5, 60.5],
+                               rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
