@@ -215,6 +215,8 @@ def _load_subject(args) -> tuple[str, Circuit | StateVector]:
     if (args.circuit is None) == (args.catalog is None):
         raise _UsageError("pass exactly one of --circuit or --catalog")
     if args.catalog is not None:
+        if args.qubits is not None:
+            raise _UsageError("--qubits applies only to --circuit; a catalog entry has its own qubit count")
         entry = _catalog_entry(args.catalog)
         return entry.name, entry.payload
     text = _read_input(args.circuit)

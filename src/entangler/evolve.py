@@ -63,12 +63,15 @@ class GateSet:
         return len(self.table)
 
 
-def _check_families(families: Sequence[str]) -> set[str]:
-    """The upper-cased families, refused when empty or not all gate kinds."""
-    wanted = {f.upper() for f in families}
+def _check_families(families: Sequence[str]) -> tuple[str, ...]:
+    """The families upper-cased, in the order given; refused when a bare
+    string, empty or not all gate kinds."""
+    if isinstance(families, str):
+        raise TypeError(f"gate families must be an iterable of names, not the string {families!r}")
+    wanted = tuple(f.upper() for f in families)
     if not wanted:
         raise ValueError("at least one gate family is required")
-    unknown = wanted.difference(GATE_KINDS)
+    unknown = set(wanted).difference(GATE_KINDS)
     if unknown:
         raise ValueError(f"unknown gate families {sorted(unknown)}; expected a subset of {GATE_KINDS}")
     return wanted
@@ -159,8 +162,7 @@ class GAConfig:
         for name in ("n", "circuit_length", "population_size", "max_generations",
                      "tournament_size", "elite_count", "rng_seed"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
-        object.__setattr__(self, "families", tuple(f.upper() for f in self.families))
-        _check_families(self.families)
+        object.__setattr__(self, "families", _check_families(self.families))
         _check_scored(self.n)
         if self.circuit_length < 1:
             raise ValueError(f"circuit length must be positive, got {self.circuit_length}")

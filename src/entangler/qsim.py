@@ -5,9 +5,9 @@ with q_i = (k >> i) & 1, so qubit 0 is the least significant bit.  Circuits
 store gates in application order: gates[0] acts first.
 
 Circuit text grammar: gates written ``KIND(a)`` or ``KIND(a,b)`` with decimal
-qubit labels, separated by ``;`` (a newline also separates gates); optional
-whitespace anywhere between tokens.  The formatter can emit the reversed,
-right-to-left matrix-product order via ``paper_order=True``.
+qubit labels, separated by ``;`` or a newline (two gates on one line need the
+``;``); whitespace may surround every token.  The formatter can emit the
+reversed, right-to-left matrix-product order via ``paper_order=True``.
 """
 from __future__ import annotations
 
@@ -226,7 +226,7 @@ def run_circuit(circuit: Circuit, initial: StateVector) -> StateVector:
 
 def nonzero_coefficient_count(state: StateVector, tol: float = 1e-9) -> int:
     """Number of amplitudes with modulus above tol."""
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ValueError(f"tolerance must be nonnegative, got {tol}")
     return int((np.abs(state.amplitudes) > tol).sum())
 
@@ -237,6 +237,8 @@ def allclose_up_to_phase(a: StateVector, b: StateVector, tol: float = 1e-10) -> 
     The phase factor is pinned on the first amplitude of `a` whose modulus
     exceeds tol.
     """
+    if not tol >= 0:  # NaN too
+        raise ValueError(f"tolerance must be nonnegative, got {tol}")
     if a.n != b.n:
         return False
     va, vb = a.amplitudes, b.amplitudes
@@ -260,18 +262,21 @@ class CircuitParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-# Leading zeros of a qubit label are skipped, so "H(007)" reads qubit 7.
-_TOKEN_RE = re.compile(r"([A-Za-z]+)\s*\(\s*0*(\d+)\s*(?:,\s*0*(\d+)\s*)?\)")
+# Leading zeros of a qubit label are skipped, so "H(007)" reads qubit 7.  A
+# gate takes the blanks after it on its own line, so that what follows must
+# be a separator: ';', a newline or the end of the text.
+_GATE_RE = re.compile(r"([A-Za-z]+)\s*\(\s*0*(\d+)\s*(?:,\s*0*(\d+)\s*)?\)[^\S\n]*")
+_GAP_RE = re.compile(r"[\s;]*")
 
 # A longer label is out of range for any circuit, and int() refuses more
 # than 4300 digits.
 _MAX_LABEL_DIGITS = 9
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
+def _error_at(text: str, pos: int, message: str) -> CircuitParseError:
+    """The parse error for text[pos], with a 1-based line and column."""
     line = text.count("\n", 0, pos) + 1
-    col = pos - text.rfind("\n", 0, pos)
-    return line, col
+    return CircuitParseError(message, line, pos - text.rfind("\n", 0, pos))
 
 
 def parse_circuit(text: str, n: int | None = None) -> Circuit:
@@ -282,44 +287,28 @@ def parse_circuit(text: str, n: int | None = None) -> Circuit:
     """
     gates: list[GateSpec] = []
     pos = 0
-    expect_separator = False
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            if ch == "\n":
-                expect_separator = False
-            pos += 1
-            continue
-        if ch == ";":
-            expect_separator = False
-            pos += 1
-            continue
-        if expect_separator:
-            raise CircuitParseError(f"expected ';' before {text[pos:pos + 12]!r}", *_line_col(text, pos))
-        m = _TOKEN_RE.match(text, pos)
+    while (pos := _GAP_RE.match(text, pos).end()) < len(text):
+        m = _GATE_RE.match(text, pos)
         if m is None:
             snippet = text[pos:pos + 12].split("\n")[0]
-            raise CircuitParseError(f"malformed gate token {snippet!r}", *_line_col(text, pos))
-        kind = m.group(1).upper()
-        token = m.group(0)
+            raise _error_at(text, pos, f"malformed gate token {snippet!r}")
         labels = [i for i in (2, 3) if m.group(i) is not None]
         for i in labels:
             if len(m.group(i)) > _MAX_LABEL_DIGITS:
-                raise CircuitParseError(f"qubit label of {len(m.group(i))} digits is out of range",
-                                        *_line_col(text, m.start(i)))
-        args = tuple(int(m.group(i)) for i in labels)
+                raise _error_at(text, m.start(i), f"qubit label of {len(m.group(i))} digits is out of range")
         try:
-            gate = GateSpec(kind, args)
+            gate = GateSpec(m.group(1).upper(), tuple(int(m.group(i)) for i in labels))
         except ValueError as exc:
-            raise CircuitParseError(f"bad gate {token!r}: {exc}", *_line_col(text, pos)) from None
+            raise _error_at(text, pos, f"bad gate {m.group(0).rstrip()!r}: {exc}") from None
         if n is not None:
             try:
                 gate.validate_for(n)
             except ValueError as exc:
-                raise CircuitParseError(str(exc), *_line_col(text, pos)) from None
+                raise _error_at(text, pos, str(exc)) from None
         gates.append(gate)
         pos = m.end()
-        expect_separator = True
+        if pos < len(text) and text[pos] not in ";\n":
+            raise _error_at(text, pos, f"expected ';' before {text[pos:pos + 12]!r}")
     if n is None:
         if not gates:
             raise ValueError("cannot infer the qubit count of an empty circuit; pass n explicitly")

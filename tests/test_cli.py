@@ -150,6 +150,16 @@ def test_qubits_outside_the_range_are_usage_errors_before_parsing(tmp_path, caps
             assert err == f"entangler: usage error: {message}\n"
 
 
+@pytest.mark.parametrize("qubits", ["9", "4", "0"])
+def test_qubits_are_refused_next_to_a_catalog_name(capsys, qubits):
+    # Even the entry's own count: --qubits never applies to a catalog entry.
+    for command in ("evaluate", "trace"):
+        status, out, err = run_cli(capsys, command, "--catalog", "circuit_4a", "--qubits", qubits)
+        assert (status, out) == (EX_USAGE, "")
+        assert err == ("entangler: usage error: --qubits applies only to --circuit; "
+                       "a catalog entry has its own qubit count\n")
+
+
 @pytest.mark.parametrize("text", ["", " \n\t", ";", ";\n ;"], ids=repr)
 def test_circuit_files_without_gates_need_qubits(tmp_path, capsys, text):
     path = tmp_path / "nothing.qc"

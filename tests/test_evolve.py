@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -77,6 +78,16 @@ def test_gate_set_rejects_bad_input():
     for n in (13, 30):
         with pytest.raises(ValueError, match="capped at 12 qubits"):
             build_gate_set(n, ("H", "CNOT"))
+
+
+@pytest.mark.parametrize("families", ["CNOT", "H", "h", ""])
+def test_gate_families_are_never_a_bare_string(families):
+    # A string would be read one character at a time: "CNOT" as C, N, O, T.
+    message = f"gate families must be an iterable of names, not the string {families!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        build_gate_set(3, families)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        GAConfig(n=3, circuit_length=3, families=families)
 
 
 # --- encoding ------------------------------------------------------------------

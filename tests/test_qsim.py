@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -360,8 +362,12 @@ def test_nonzero_counts():
 
 
 def test_nonzero_count_rejects_negative_tolerance():
-    with pytest.raises(ValueError):
-        nonzero_coefficient_count(zero_state(2), tol=-1e-3)
+    # A NaN tolerance compares False with every modulus, so it would count nothing.
+    for tol in (-1e-3, -1.0, -float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            nonzero_coefficient_count(zero_state(2), tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            allclose_up_to_phase(zero_state(2), zero_state(2), tol=tol)
 
 
 def test_allclose_up_to_phase():
@@ -418,6 +424,12 @@ def test_parse_error_carries_line_and_column():
 def test_parse_error_on_missing_separator():
     with pytest.raises(CircuitParseError, match="expected ';'"):
         parse_circuit("H(0) H(1)")
+    # Of the blanks, only a newline separates gates; after "\r" and the
+    # others the second gate is still on line 1, at column 6.
+    for blank in (" ", "\t", "\r", "\x0b", "\x0c"):
+        with pytest.raises(CircuitParseError, match=r"expected ';' before 'H\(1\)'") as err:
+            parse_circuit(f"H(0){blank}H(1)")
+        assert (err.value.line, err.value.column) == (1, 6)
 
 
 def test_parse_error_on_out_of_range_label():
@@ -452,12 +464,25 @@ def circuits(draw):
     return Circuit(n, tuple(draw(st.lists(single | double, max_size=20))))
 
 
-@given(circuit=circuits(), paper_order=st.booleans())
+_WHITESPACE = " \t\r\n\x0b\x0c"
+
+
+@given(circuit=circuits(), paper_order=st.booleans(), data=st.data())
 @settings(max_examples=300)
-def test_circuit_text_round_trips(circuit, paper_order):
-    parsed = parse_circuit(format_circuit(circuit, paper_order=paper_order), n=circuit.n)
-    gates = parsed.gates[::-1] if paper_order else parsed.gates
-    assert Circuit(parsed.n, gates) == circuit
+def test_circuit_text_round_trips(circuit, paper_order, data):
+    text = format_circuit(circuit, paper_order=paper_order)
+    # The same tokens with drawn whitespace around each parenthesis and comma,
+    # joined by drawn runs of whitespace and extra ';' around a ';' or newline.
+    space = st.text(_WHITESPACE, max_size=3)
+    gap = st.text(_WHITESPACE + ";", max_size=4)
+    tokens = [re.sub(r"[(,)]", lambda m: data.draw(space) + m.group() + data.draw(space), token)
+              for token in text.split("; ") if token]
+    spaced = data.draw(gap) + "".join(
+        token + data.draw(gap) + data.draw(st.sampled_from(";\n")) + data.draw(gap) for token in tokens)
+    for written in (text, spaced):
+        parsed = parse_circuit(written, n=circuit.n)
+        gates = parsed.gates[::-1] if paper_order else parsed.gates
+        assert Circuit(parsed.n, gates) == circuit
 
 
 _GRAMMAR_CHARACTERS = "HXYZSTCNOTcnotzQ(),; \n\t0123456789-+."
