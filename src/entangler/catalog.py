@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .entanglement import _check_scored
-from .qsim import MAX_QUBITS, Circuit, GateSpec, StateVector, parse_circuit
+from .qsim import _LABEL, _MAX_LABEL_DIGITS, MAX_QUBITS, Circuit, GateSpec, StateVector, parse_circuit
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -119,7 +119,8 @@ QUBIT_RELABELINGS = {
     ("psi5a", "psi5b"): (2, 0, 3, 4, 1),
 }
 
-_GHZ_RE = re.compile(r"^(?:circuit_)?ghz0*(\d+)$")
+# A GHZ size is a qubit label, read as in circuit text.
+_GHZ_RE = re.compile(rf"^(?:circuit_)?ghz{_LABEL}$")
 
 
 def lookup(name: str) -> NamedEntry:
@@ -132,7 +133,7 @@ def lookup(name: str) -> NamedEntry:
     m = _GHZ_RE.match(key)
     if m:
         digits = m.group(1)
-        if len(digits) > 9:
+        if len(digits) > _MAX_LABEL_DIGITS:
             # Out of range for sure, and int() refuses more than 4300 digits.
             raise ValueError(f"scoring is capped at {MAX_QUBITS} qubits, got an n of {len(digits)} digits")
         n = int(digits)

@@ -24,18 +24,14 @@ Two numerical paths compute a cut's contribution:
 
 A trace (``entanglement_trace``) keeps every register cut's current
 contribution in one list across the prefixes of a circuit, and after each
-gate sets again only the cuts that gate can change.  A gate acting within
-one side of a cut is a local unitary there, which leaves that cut's singular
-values, and so its contribution, exactly as they were (Vidal,
-quant-ph/0301063).  So a single-qubit gate changes no cut, and a two-qubit
-gate on (a, b) changes only the half of the cuts that separate a from b.
-The trace also tracks components, the qubit sets the two-qubit gates so far
-have linked; the state is a product of one state per component.  A gate on
-(a, b) first scores its component C's cuts that separate a from b on C's
-own 2^|C| amplitudes, psi_C, with ``_cut_negativities(psi_C, |C|, apart)``:
-one stacked SVD per cut size over just those cuts.  Then the product rule
-gives each register cut that separates a from b its value, from C's value
-and the kept values of the other components the cut splits.
+gate sets again only the cuts that gate can change: none for a single-qubit
+gate, and for a two-qubit gate on (a, b) the cuts that separate a from b.
+It tracks components, the qubit sets the two-qubit gates so far have
+linked, and scores a changed cut's side in the gate's component on that
+component's own amplitudes; its docstring gives the rule.  An entry agrees
+with ``total_entanglement`` of the same prefix within 1e-12, and a
+single-qubit step repeats the entry before it exactly.  The CLI caps a
+trace at ``cli.MAX_TRACE_CUTS`` cut rescorings.
 
 Every scoring entry point, and everything that builds cuts, takes n from 2
 to qsim.MAX_QUBITS (``_check_scored``) and refuses any other n before it
@@ -307,14 +303,6 @@ def max_entanglement_bound(n: int) -> float:
     return total
 
 
-def _unions(blocks) -> list[int]:
-    """Every union of the disjoint bitmasks blocks: entry l joins the blocks at the set bits of l."""
-    unions = [0]
-    for block in blocks:
-        unions += [union | block for union in unions]
-    return unions
-
-
 def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     """Total score after each prefix of the circuit; entry 0 is |0...0>.
 
@@ -322,9 +310,10 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     the prefixes, and after each gate only the cuts that gate can change are
     set again.  A gate acting within one side of a cut is a local unitary
     U_A (x) U_B: it maps the cut's matrix M to U_A M U_B^T, whose singular
-    values, and so whose contribution, are those of M.  So a single-qubit
-    gate changes no cut, and a two-qubit gate on (a, b) only the cuts with
-    exactly one of a, b among the members.
+    values, and so whose contribution, are those of M (Vidal,
+    quant-ph/0301063).  So a single-qubit gate changes no cut, and a
+    two-qubit gate on (a, b) only the cuts with exactly one of a, b among
+    the members.
 
     The qubits linked by the two-qubit gates so far form components, and the
     state is a product of one state per component: entry 0 takes no SVD.  A
@@ -332,13 +321,14 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     are scored on C's own state psi_C: the column holding the largest
     amplitude of the amplitudes reshaped along C (a rank-one matrix),
     normalized, or amps itself, uncopied, once C is the whole register.
-    Then the product rule: the sum s of a product state's Schmidt
-    coefficients is the product of its components' sums, and a cut
-    contributes (s^2 - 1)/2.  So a register cut R separating a from b takes
-    v_C, the value of R's side within C, as it stands if it splits no other
-    multi-qubit component, else (prod (2 v_g + 1) - 1)/2 over C and each
-    other component g it splits.  v_g is kept at the register cut that
-    splits g as R does and nothing else, which this gate does not change.
+    Then each register cut R that separates a from b takes its value from
+    two: v_S, C's value at S = R & C, and v_T, the kept value at the
+    register cut of T = R - C.  That cut keeps all of C on one side, so this
+    gate leaves it as it was, and it already holds the product over every
+    other component R splits.  The sum of a product state's Schmidt
+    coefficients is the product of its parts' sums, and a cut contributes
+    (s^2 - 1)/2, so 2 v_R + 1 = (2 v_S + 1)(2 v_T + 1); v_R is v_S as it
+    stands when T is empty or v_T is 0.0.
 
     A kept value was scored on an earlier prefix or a component's state, or
     comes from the product rule, so an entry can differ from
@@ -357,10 +347,11 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
             a, b = gate.args
             joined = groups[a] | groups[b]
             members = [q for q in range(n) if joined >> q & 1]
+            # Local index l has bit j for qubit members[j]; spread[l] is its register mask.
+            spread = [0]
             for q in members:
                 groups[q] = joined
-            # Local index l has bit j for qubit members[j]; spread[l] is its register mask.
-            spread = _unions(1 << q for q in members)
+                spread += [union | 1 << q for union in spread]
             if joined == register:
                 psi = amps
             else:
@@ -372,18 +363,13 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
             la, lb = members.index(a), members.index(b)
             local = _cut_negativities(psi, len(members), (la, lb))
             full = len(spread) - 1
-            # v_C by R's side within C, for the sides that separate a from b.
+            # v_S by S = R & C, for the sides that separate a from b.
             part = {spread[l]: local[(l if l & 1 else full ^ l) >> 1]
                     for l in range(len(spread)) if (l >> la ^ l >> lb) & 1}
-            others = [g for g in set(groups) if g != joined and g & (g - 1)]  # a lone qubit splits no cut
             for cut in range(1, register, 2):
                 if (cut >> a ^ cut >> b) & 1:
-                    product = 1.0  # of 2 v_g + 1, v_g kept at the canonical register cut of g's side
-                    for g in others:
-                        side = cut & g
-                        if 0 < side < g:
-                            product *= 2.0 * values[(side if side & 1 else register ^ side) >> 1] + 1.0
-                    value = part[cut & joined]
-                    values[cut >> 1] = value if product == 1.0 else ((2.0 * value + 1.0) * product - 1.0) / 2.0
+                    value, rest = part[cut & joined], cut & ~joined
+                    kept = values[(rest if rest & 1 else register ^ rest) >> 1] if rest else 0.0
+                    values[cut >> 1] = value if kept == 0.0 else ((2.0 * value + 1.0) * (2.0 * kept + 1.0) - 1.0) / 2.0
         trace.append((step, _total_negativity(amps, n, known=values)))
     return trace

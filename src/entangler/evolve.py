@@ -65,9 +65,12 @@ class GateSet:
 
 def _check_families(families: Sequence[str]) -> tuple[str, ...]:
     """The families upper-cased, in the order given; refused when a bare
-    string, empty or not all gate kinds."""
+    string, holding a non-string, empty or not all gate kinds."""
     if isinstance(families, str):
         raise TypeError(f"gate families must be an iterable of names, not the string {families!r}")
+    families = tuple(families)
+    if not all(isinstance(f, str) for f in families):
+        raise TypeError(f"gate families must be strings, got {families!r}")
     wanted = tuple(f.upper() for f in families)
     if not wanted:
         raise ValueError("at least one gate family is required")

@@ -262,10 +262,13 @@ class CircuitParseError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-# Leading zeros of a qubit label are skipped, so "H(007)" reads qubit 7.  A
+# Leading zeros of a qubit label are skipped, so "H(007)" reads qubit 7.
+# The label group starts at a digit other than '0' or is the last '0', so a
+# run of zeros splits one way only and a failed match takes linear time.  A
 # gate takes the blanks after it on its own line, so that what follows must
 # be a separator: ';', a newline or the end of the text.
-_GATE_RE = re.compile(r"([A-Za-z]+)\s*\(\s*0*(\d+)\s*(?:,\s*0*(\d+)\s*)?\)[^\S\n]*")
+_LABEL = r"0*((?!0)\d+|0)"
+_GATE_RE = re.compile(rf"([A-Za-z]+)\s*\(\s*{_LABEL}\s*(?:,\s*{_LABEL}\s*)?\)[^\S\n]*")
 _GAP_RE = re.compile(r"[\s;]*")
 
 # A longer label is out of range for any circuit, and int() refuses more

@@ -235,6 +235,12 @@ def test_unknown_names_raise_lookup_errors():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # Leading zeros split off one way only, so a long zero-padded name fails
+    # or resolves in linear time.
+    with pytest.raises(KeyError):
+        lookup("ghz" + "0" * 100_000 + "x")
+    entry = lookup("ghz" + "0" * 100_000 + "3")
+    assert (entry.kind, entry.payload.n, entry.expected_total) == ("state", 3, 1.5)
 
 
 def test_lookup_covers_every_catalog_name():

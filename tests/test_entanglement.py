@@ -462,6 +462,10 @@ def _register_join_step(circuit: Circuit) -> int:
 @example(circuit=Circuit(4, tuple(GateSpec(kind, args) for kind, args in (
     ("H", (0,)), ("CNOT", (0, 1)), ("T", (1,)), ("H", (1,)), ("H", (2,)), ("CZ", (2, 3)), ("T", (3,)),
     ("H", (3,)), ("CNOT", (1, 2))))))
+# Four Bell pairs, then CNOT(1, 2) joins two of them: a cut such as {0, 2, 4, 6} it changes
+# also splits both other pairs, whose product is kept at that cut's part outside {0, 1, 2, 3}.
+@example(circuit=Circuit(8, tuple(GateSpec(kind, args) for a in range(0, 8, 2) for kind, args in (
+    ("H", (a,)), ("CNOT", (a, a + 1)), ("T", (a + 1,)))) + (GateSpec("CNOT", (1, 2)),)))
 @settings(max_examples=40)
 def test_trace_scores_separate_components_on_their_own_states(circuit):
     n, gates = circuit.n, circuit.gates

@@ -80,10 +80,12 @@ def test_gate_set_rejects_bad_input():
             build_gate_set(n, ("H", "CNOT"))
 
 
-@pytest.mark.parametrize("families", ["CNOT", "H", "h", ""])
+@pytest.mark.parametrize("families", ["CNOT", "H", "h", "", (1,), ("H", None)])
 def test_gate_families_are_never_a_bare_string(families):
     # A string would be read one character at a time: "CNOT" as C, N, O, T.
-    message = f"gate families must be an iterable of names, not the string {families!r}"
+    # A family that is not a string is named, not upper-cased.
+    message = (f"gate families must be an iterable of names, not the string {families!r}"
+               if isinstance(families, str) else f"gate families must be strings, got {families!r}")
     with pytest.raises(TypeError, match=re.escape(message)):
         build_gate_set(3, families)
     with pytest.raises(TypeError, match=re.escape(message)):

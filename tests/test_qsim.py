@@ -442,6 +442,12 @@ def test_parse_error_on_over_long_label():
         parse_circuit("H(0);\nCNOT(1, " + "9" * 5000 + ")")
     assert (err.value.line, err.value.column) == (2, 9)
     assert parse_circuit("H(007); CNOT(" + "0" * 5000 + "1,0)").gates == (GateSpec("H", (7,)), GateSpec("CNOT", (1, 0)))
+    # A run of zeros with no closing ')' splits one way only, so the refusal
+    # takes linear time, not hours.
+    for text in ("H(" + "0" * (1 << 20), "CNOT(1," + "0" * (1 << 20)):
+        with pytest.raises(CircuitParseError, match=re.escape(f"malformed gate token {text[:12]!r}")) as err:
+            parse_circuit(text)
+        assert (err.value.line, err.value.column) == (1, 1)
 
 
 @pytest.mark.parametrize("name", [
