@@ -120,7 +120,17 @@ QUBIT_RELABELINGS = {
 }
 
 # A GHZ size is a qubit label, read as in circuit text.
-_GHZ_RE = re.compile(rf"^(?:circuit_)?ghz{_LABEL}$")
+_GHZ_RE = re.compile(rf"(?:circuit_)?ghz{_LABEL}")
+
+# Longest part of an unknown name an error message quotes.
+_QUOTED_CHARS = 40
+
+
+def _quoted(name: str) -> str:
+    """The name in quotes, or a bounded prefix of it and its length."""
+    if len(name) <= _QUOTED_CHARS:
+        return repr(name)
+    return f"{name[:_QUOTED_CHARS]!r}... ({len(name)} characters)"
 
 
 def lookup(name: str) -> NamedEntry:
@@ -130,7 +140,7 @@ def lookup(name: str) -> NamedEntry:
     psi4a/4b/5a/5b/6a/6b and ghz<n>.  Names are case-insensitive.
     """
     key = name.lower()
-    m = _GHZ_RE.match(key)
+    m = _GHZ_RE.fullmatch(key)
     if m:
         digits = m.group(1)
         if len(digits) > _MAX_LABEL_DIGITS:
@@ -152,13 +162,13 @@ def lookup(name: str) -> NamedEntry:
         for index, amplitude in terms:
             amps[index] = amplitude
         return NamedEntry(key, "state", StateVector(n, amps), expected, source)
-    raise KeyError(f"unknown catalog name {name!r}; try 'catalog list'")
+    raise KeyError(f"unknown catalog name {_quoted(name)}; try 'catalog list'")
 
 
 def _named(name: str, kind: str) -> Circuit | StateVector:
     entry = lookup(name)
     if entry.kind != kind:
-        raise KeyError(f"{name!r} names a {entry.kind}, not a {kind}")
+        raise KeyError(f"{_quoted(name)} names a {entry.kind}, not a {kind}")
     return entry.payload
 
 

@@ -7,6 +7,9 @@ produces from |00...0>.
 
 Reproducibility contract: one master seed drives a single numpy Generator,
 and random draws happen in a fixed documented order (see ``evolve``).
+Breeding takes each generation's draws as raw PCG64 outputs and consumes
+them by numpy's own rules (see ``_RawDraws``), so a run is bit for bit the
+one the equivalent Generator calls would give.
 Fitness is pure and consumes no randomness, so each generation may be split
 into one slice of rows per worker process; the scores are merged back in
 population order before any further draw, which keeps runs bit-identical
@@ -288,43 +291,131 @@ def _tournament_winner(candidates: list[int], fits: list[float]) -> int:
     return winner
 
 
+# Most PCG64 outputs _breed draws at once.  A generation that needs more
+# (large tournaments, Lemire rejections) draws another chunk, so no
+# population_size * tournament_size sizes an allocation.
+_RAW_CHUNK = 4096
+
+
+class _RawDraws:
+    """A PCG64 Generator's randomness taken as raw 64-bit outputs, in plain
+    Python ints, the way its random() and integers() calls would take it.
+
+    numpy's rules, mirrored here:
+    - a double is (x >> 11) * 2^-53 of a fresh output x, so it is below a
+      rate exactly when x >> 11 is below ceil(rate * 2^53);
+    - a bounded integer below 2^32 is Lemire's multiply-shift on
+      next_uint32, with its rejection loop; a one-value range draws nothing;
+    - next_uint32 hands out an output's low half and keeps the high half in
+      the state's has_uint32/uinteger buffer for the next 32-bit draw, while
+      a double leaves that buffer alone.
+    Outputs come from random_raw in chunks of at most _RAW_CHUNK.  close()
+    restores the saved state, advances it past the outputs consumed and sets
+    the buffer, so the generator stands where those calls would leave it.
+    """
+
+    def __init__(self, rng: np.random.Generator, expected: int):
+        self._bits = rng.bit_generator
+        self._saved = self._bits.state
+        self._has_half = bool(self._saved["has_uint32"])
+        self._half = self._saved["uinteger"]
+        self._chunk = max(1, min(expected, _RAW_CHUNK))
+        self._block: list[int] = []
+        self._pos = 0
+        self._drawn = 0
+
+    def raw(self, count: int) -> list[int]:
+        """The next count outputs."""
+        out = self._block[self._pos:self._pos + count]
+        self._pos += len(out)
+        while len(out) < count:
+            self._refill()
+            self._pos = min(count - len(out), self._chunk)
+            out += self._block[:self._pos]
+        return out
+
+    def _refill(self) -> None:
+        self._block = self._bits.random_raw(self._chunk).tolist()
+        self._drawn += self._chunk
+        self._pos = 0
+
+    def integers(self, bound: int, count: int) -> list[int]:
+        """integers(0, bound, size=count) for 1 <= bound <= 2^32."""
+        if bound == 1:
+            return [0] * count
+        threshold = (1 << 32) % bound
+        has_half, half = self._has_half, self._half
+        out = []
+        while len(out) < count:
+            if has_half:
+                has_half, m = False, half * bound
+            else:
+                # One output, taken without a slice: this is breeding's
+                # innermost loop.
+                if self._pos == len(self._block):
+                    self._refill()
+                x = self._block[self._pos]
+                self._pos += 1
+                has_half, half, m = True, x >> 32, (x & 0xFFFFFFFF) * bound
+            if m & 0xFFFFFFFF >= threshold:
+                out.append(m >> 32)
+        self._has_half, self._half = has_half, half
+        return out
+
+    def close(self) -> None:
+        self._bits.state = self._saved
+        self._bits.advance(self._drawn - len(self._block) + self._pos)
+        state = self._bits.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        self._bits.state = state
+
+
 def _breed(population: np.ndarray, fits: np.ndarray, config: GAConfig,
            table_size: int, rng: np.random.Generator) -> np.ndarray:
-    """One generation.  Draw order per child: two tournaments, one crossover
-    coin (plus a point when it lands), then the mutation mask and the
-    replacement genes.
+    """One generation.  Draw order per child: two tournaments of k bounded
+    draws each, one crossover coin (plus a point when it lands), then L
+    mutation coins and one replacement gene per hit.
 
-    Both tournaments come from one integers(size=2k) call and a lone
-    replacement gene from a scalar integers call.  Bounded integers below
-    2^32 are taken one after another from the bit generator's 32-bit stream
-    whatever the call's size, so these are the draws, in the order, of one
-    sized call per tournament and per mutated child.
+    These are the draws, in the order, of one integers(0, P, size=2k) call,
+    a random() coin, an integers(1, L) point (which draws nothing at L = 2),
+    a random(L) mask and an integers(0, table_size, size=hits) call.  They
+    are taken as raw outputs through _RawDraws, which needs the
+    PCG64-backed Generator that evolve always builds and a table_size of at
+    most 2^32.  _RawDraws mirrors numpy's double and Lemire rules; the
+    equality tests against tests/oracles.py's reference_breed, which makes
+    those Generator calls, fail rather than let results drift if numpy ever
+    changes them.
     """
     length = config.circuit_length
     k = config.tournament_size
     elites = config.elite_count
-    children = np.empty_like(population)
-    children[:elites] = population[_ranked(fits)[:elites]]
+    rate = config.mutation_rate
+    rows = population.tolist()
+    children = [rows[i] for i in _ranked(fits)[:elites].tolist()]
     # Tournaments compare Python floats: the same values, without a numpy
     # scalar per comparison.
     fit_list = fits.tolist()
     size = len(fit_list)
-    for child in children[elites:]:
-        drawn = rng.integers(0, size, size=2 * k).tolist()
-        first = population[_tournament_winner(drawn[:k], fit_list)]
-        if length >= 2 and rng.random() < config.crossover_rate:
-            point = int(rng.integers(1, length))
-            child[:point] = first[:point]
-            child[point:] = population[_tournament_winner(drawn[k:], fit_list), point:]
+    # A coin x lands below a rate when x >> 11 is below its cut (_RawDraws).
+    cross_cut = math.ceil(config.crossover_rate * 2.0**53)
+    mutate_cut = math.ceil(rate * 2.0**53)
+    # Per child: k outputs for 2k tournament halves, a coin, at most one
+    # more for the point, L coins and about L * rate / 2 for the genes.
+    draws = _RawDraws(rng, math.ceil((size - elites) * (k + 2 + length * (1 + rate / 2))))
+    for _ in range(elites, size):
+        drawn = draws.integers(size, 2 * k)
+        first = rows[_tournament_winner(drawn[:k], fit_list)]
+        if length >= 2 and draws.raw(1)[0] >> 11 < cross_cut:
+            point = 1 + draws.integers(length - 1, 1)[0]
+            child = first[:point] + rows[_tournament_winner(drawn[k:], fit_list)][point:]
         else:
-            child[:] = first
-        mask = rng.random(length) < config.mutation_rate
-        hits = np.count_nonzero(mask)
-        if hits == 1:
-            child[mask] = rng.integers(0, table_size)
-        elif hits:
-            child[mask] = rng.integers(0, table_size, size=hits)
-    return children
+            child = first[:]
+        hits = [locus for locus, x in enumerate(draws.raw(length)) if x >> 11 < mutate_cut]
+        for locus, gene in zip(hits, draws.integers(table_size, len(hits))):
+            child[locus] = gene
+        children.append(child)
+    draws.close()
+    return np.array(children, dtype=population.dtype)
 
 
 def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:

@@ -266,8 +266,9 @@ class CircuitParseError(ValueError):
 # The label group starts at a digit other than '0' or is the last '0', so a
 # run of zeros splits one way only and a failed match takes linear time.  A
 # gate takes the blanks after it on its own line, so that what follows must
-# be a separator: ';', a newline or the end of the text.
-_LABEL = r"0*((?!0)\d+|0)"
+# be a separator: ';', a newline or the end of the text.  A label is ASCII
+# digits only: \d would also take other scripts' digits, such as '٣'.
+_LABEL = r"0*((?!0)[0-9]+|0)"
 _GATE_RE = re.compile(rf"([A-Za-z]+)\s*\(\s*{_LABEL}\s*(?:,\s*{_LABEL}\s*)?\)[^\S\n]*")
 _GAP_RE = re.compile(r"[\s;]*")
 

@@ -243,6 +243,35 @@ def test_unknown_names_raise_lookup_errors():
     assert (entry.kind, entry.payload.n, entry.expected_total) == ("state", 3, 1.5)
 
 
+@pytest.mark.parametrize("name", ["ghz3\n", "circuit_ghz3\n", "GHZ3\n", "ghz3\n\n"])
+def test_ghz_names_end_at_the_name(name):
+    # A trailing newline is part of the name, not the end of it.
+    with pytest.raises(KeyError, match="unknown catalog name"):
+        lookup(name)
+
+
+@pytest.mark.parametrize("name", ["ghz\u0663", "circuit_ghz\u0664", "ghz\uff13", "circuit_ghz1\u0660"])
+def test_ghz_sizes_are_ascii_digits(name):
+    # Arabic-Indic and fullwidth digits are not qubit labels.
+    with pytest.raises(KeyError, match="unknown catalog name"):
+        lookup(name)
+
+
+def test_unknown_name_messages_quote_a_bounded_prefix():
+    with pytest.raises(KeyError) as err:
+        lookup("psi99")
+    assert err.value.args[0] == "unknown catalog name 'psi99'; try 'catalog list'"
+    name = "ghz" + "0" * 100_000 + "x"
+    with pytest.raises(KeyError) as err:
+        lookup(name)
+    message = err.value.args[0]
+    assert message == f"unknown catalog name {name[:40]!r}... (100004 characters); try 'catalog list'"
+    # A long name that resolves, but to the other kind, is quoted the same way.
+    with pytest.raises(KeyError) as err:
+        named_circuit("ghz" + "0" * 100_000 + "3")
+    assert err.value.args[0] == f"{name[:40]!r}... (100004 characters) names a state, not a circuit"
+
+
 def test_lookup_covers_every_catalog_name():
     for entry in catalog_entries():
         assert entry.kind in ("circuit", "state")

@@ -100,6 +100,25 @@ def test_evaluate_parse_error_gives_65_with_position(tmp_path, capsys):
     assert "line 1, column 3: qubit label of 5000 digits" in err
 
 
+def test_non_ascii_digits_are_neither_labels_nor_ghz_sizes(tmp_path, capsys):
+    path = tmp_path / "arabic.qc"
+    path.write_text("H(0);\nH(\u0663)\n", encoding="utf-8")
+    status, _, err = run_cli(capsys, "evaluate", "--circuit", str(path))
+    assert status == EX_PARSE
+    assert "line 2, column 1: malformed gate token" in err
+    for name in ("circuit_ghz\u0664", "ghz3\n"):
+        status, _, err = run_cli(capsys, "evaluate", "--catalog", name)
+        assert status == EX_USAGE
+        assert "unknown catalog name" in err
+
+
+def test_an_unknown_long_name_writes_a_short_message(capsys):
+    status, out, err = run_cli(capsys, "evaluate", "--catalog", "ghz" + "0" * 100_000 + "x")
+    assert (status, out) == (EX_USAGE, "")
+    assert "(100004 characters)" in err
+    assert len(err) < 1024
+
+
 def test_evaluate_requires_exactly_one_source(capsys):
     status, _, err = run_cli(capsys, "evaluate")
     assert status == EX_USAGE

@@ -16,6 +16,8 @@ from entangler.entanglement import MEMO_ENTRY_OVERHEAD, MEMO_MAX_BYTES, _total_n
 from entangler.evolve import (
     MAX_WORKERS,
     GAConfig,
+    _RAW_CHUNK,
+    _RawDraws,
     _breed,
     _tournament_winner,
     build_gate_set,
@@ -525,30 +527,97 @@ def test_history_nondecreasing_even_with_heavy_mutation():
     assert all(a <= b + 1e-12 for a, b in zip(history, history[1:]))
 
 
+# Lemire's rejection loop, which GA-sized ranges almost never reach, rejects
+# about a quarter of the 32-bit draws for this range.
+REJECTING_RANGE = 3 * 2**30 + 1
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_breed_equals_the_numpy_scalar_breed(data):
     # Few distinct fitness values, so most tournaments end in ties.
-    population_size = data.draw(st.integers(2, 24))
-    length = data.draw(st.integers(1, 7))
+    population_size = data.draw(st.integers(2, 80))
+    length = data.draw(st.integers(1, 12))
     config = GAConfig(
         n=3, circuit_length=length, population_size=population_size,
         elite_count=data.draw(st.integers(1, population_size - 1)),
         tournament_size=data.draw(st.integers(1, population_size)),
-        crossover_rate=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0])),
-        per_gene_mutation_rate=data.draw(st.sampled_from([None, 0.0, 0.3, 1.0])))
+        crossover_rate=data.draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0)),
+        per_gene_mutation_rate=data.draw(st.sampled_from([None, 0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)))
     levels = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.5, 17.5]), min_size=1, max_size=3))
-    fits = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=population_size,
-                                       max_size=population_size)))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    table_size = 15
+    table_size = data.draw(st.sampled_from([15, REJECTING_RANGE]))
     population = np.random.default_rng(seed + 1).integers(0, table_size, size=(population_size, length))
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    children = _breed(population, fits, config, table_size, rng)
-    expected = reference_breed(population, fits, config, table_size, reference_rng)
-    assert children.dtype == expected.dtype
-    assert np.array_equal(children, expected)
+    if data.draw(st.booleans()):
+        # One 32-bit draw leaves the high half of an output buffered.
+        rng.integers(0, 3), reference_rng.integers(0, 3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    # Generations chain, so each starts from the state the last one left.
+    for _ in range(3):
+        fits = np.array(data.draw(st.lists(st.sampled_from(levels), min_size=population_size,
+                                           max_size=population_size)))
+        children = _breed(population, fits, config, table_size, rng)
+        expected = reference_breed(population, fits, config, table_size, reference_rng)
+        assert children.dtype == expected.dtype
+        assert np.array_equal(children, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        population = children
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("population_size, tournament_size, length", [(150, 60, 6), (3, 1, 9000)])
+def test_a_generation_past_one_chunk_breeds_as_the_numpy_calls_would(
+        buffered, population_size, tournament_size, length):
+    # 149 children draw two tournaments of 60 each: 8,940 outputs and more
+    # with rejections.  A chromosome of 9,000 genes draws 9,000 mutation
+    # coins at once.  Either way _breed draws at least three chunks.
+    config = GAConfig(n=3, circuit_length=length, population_size=population_size,
+                      tournament_size=tournament_size, per_gene_mutation_rate=0.5)
+    assert (population_size - 1) * max(tournament_size, length) > 2 * _RAW_CHUNK
+    rng, reference_rng = np.random.default_rng(21), np.random.default_rng(21)
+    if buffered:
+        rng.integers(0, 3), reference_rng.integers(0, 3)
+    population = np.random.default_rng(22).integers(0, REJECTING_RANGE, size=(population_size, length))
+    for generation in range(2):
+        fits = np.random.default_rng(generation).integers(0, 3, size=population_size) / 2.0
+        children = _breed(population, fits, config, REJECTING_RANGE, rng)
+        expected = reference_breed(population, fits, config, REJECTING_RANGE, reference_rng)
+        assert np.array_equal(children, expected)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        population = children
+
+
+@given(bound=st.sampled_from([1, 2, 3, 99, REJECTING_RANGE, 2**31 + 1, 2**32 - 1, 2**32]),
+       count=st.integers(0, 600), buffered=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_raw_bounded_draws_equal_generator_integers(bound, count, buffered, seed):
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        rng.integers(0, 3), reference_rng.integers(0, 3)
+    draws = _RawDraws(rng, 7)
+    drawn = draws.integers(bound, count)
+    draws.close()
+    assert drawn == reference_rng.integers(0, bound, size=count).tolist()
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_one_generation_allocates_a_bounded_block_whatever_the_tournament_size():
+    # 100 bred children draw tournaments of 1000: about 10^5 outputs, which
+    # drawn as one block would peak above 5 MB as Python ints.  Capped chunks
+    # keep the peak near 0.65 MB.  Elites keep the traced run near a second.
+    config = GAConfig(n=3, circuit_length=5, population_size=1000, tournament_size=1000, elite_count=900)
+    population = np.random.default_rng(0).integers(0, 15, size=(1000, 5))
+    fits = np.random.default_rng(1).integers(0, 4, size=1000) / 2.0
+    rng = np.random.default_rng(2)
+    tracemalloc.start()
+    try:
+        children = _breed(population, fits, config, 15, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert children.shape == population.shape
+    assert peak < 1 << 20
 
 
 def test_tournament_ties_go_to_the_lower_index():

@@ -450,6 +450,14 @@ def test_parse_error_on_over_long_label():
         assert (err.value.line, err.value.column) == (1, 1)
 
 
+@pytest.mark.parametrize("text", ["H(\u0663)", "CNOT(0, \u0663)", "H(\uff13)", "H(1\u0660)"])
+def test_qubit_labels_are_ascii_digits(text):
+    # Other scripts' decimal digits are not labels: '\u0663' is an Arabic-Indic 3.
+    with pytest.raises(CircuitParseError, match="malformed gate token") as err:
+        parse_circuit(text)
+    assert (err.value.line, err.value.column) == (1, 1)
+
+
 @pytest.mark.parametrize("name", [
     "circuit_ghz3", "circuit_ghz6", "circuit_4a", "circuit_4b",
     "circuit_5a", "circuit_5b", "circuit_6a",
