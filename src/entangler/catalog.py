@@ -137,7 +137,8 @@ def lookup(name: str) -> NamedEntry:
     """Resolve a catalog name to a circuit or state entry; the only name parser.
 
     Circuits: circuit_4a/4b/5a/5b/6a and circuit_ghz<n>.  States: hs4, bssb5,
-    psi4a/4b/5a/5b/6a/6b and ghz<n>.  Names are case-insensitive.
+    psi4a/4b/5a/5b/6a/6b and ghz<n>.  Names are case-insensitive; an entry's
+    name is the lower-cased one, with a GHZ size written without leading zeros.
     """
     key = name.lower()
     m = _GHZ_RE.fullmatch(key)
@@ -148,9 +149,9 @@ def lookup(name: str) -> NamedEntry:
             raise ValueError(f"scoring is capped at {MAX_QUBITS} qubits, got an n of {len(digits)} digits")
         n = int(digits)
         if key.startswith("circuit_"):
-            kind, payload, source = "circuit", ghz_circuit(n), f"GHZ preparation, {n} qubits"
+            key, kind, payload, source = f"circuit_ghz{n}", "circuit", ghz_circuit(n), f"GHZ preparation, {n} qubits"
         else:
-            kind, payload, source = "state", ghz_state(n), f"GHZ state, {n} qubits"
+            key, kind, payload, source = f"ghz{n}", "state", ghz_state(n), f"GHZ state, {n} qubits"
         return NamedEntry(key, kind, payload, (2 ** (n - 1) - 1) / 2.0, source)
     if key in _CIRCUITS:
         text, output, source = _CIRCUITS[key]

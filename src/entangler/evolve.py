@@ -277,11 +277,6 @@ def _evaluate(population: np.ndarray, gate_set: GateSet, memo: dict[bytes, float
     return np.concatenate(list(pool.map(_pool_evaluate, np.array_split(population, workers))))
 
 
-def _ranked(fits: np.ndarray) -> np.ndarray:
-    """Population indices from best to worst; exact ties go to the lower index."""
-    return np.lexsort((np.arange(len(fits)), -fits))
-
-
 def _tournament_winner(candidates: list[int], fits: list[float]) -> int:
     """The fittest of the drawn candidates; exact ties go to the lower index."""
     winner = candidates[0]
@@ -291,9 +286,9 @@ def _tournament_winner(candidates: list[int], fits: list[float]) -> int:
     return winner
 
 
-# Most PCG64 outputs _breed draws at once.  A generation that needs more
-# (large tournaments, Lemire rejections) draws another chunk, so no
-# population_size * tournament_size sizes an allocation.
+# Most PCG64 outputs _breed draws at once, bar a child's L mutation coins.
+# A generation that needs more (large tournaments, Lemire rejections) draws
+# another chunk, so no population_size * tournament_size sizes an allocation.
 _RAW_CHUNK = 4096
 
 
@@ -303,41 +298,38 @@ class _RawDraws:
 
     numpy's rules, mirrored here:
     - a double is (x >> 11) * 2^-53 of a fresh output x, so it is below a
-      rate exactly when x >> 11 is below ceil(rate * 2^53);
+      rate exactly when x is below ceil(rate * 2^53) << 11;
     - a bounded integer below 2^32 is Lemire's multiply-shift on
       next_uint32, with its rejection loop; a one-value range draws nothing;
     - next_uint32 hands out an output's low half and keeps the high half in
       the state's has_uint32/uinteger buffer for the next 32-bit draw, while
       a double leaves that buffer alone.
-    Outputs come from random_raw in chunks of at most _RAW_CHUNK.  close()
-    restores the saved state, advances it past the outputs consumed and sets
-    the buffer, so the generator stands where those calls would leave it.
+    Outputs come from random_raw in chunks (see _RAW_CHUNK).  close() rewinds
+    the generator past the outputs drawn but not read and sets the buffer, so
+    it stands where those calls would leave it.  A bounded draw costs about
+    0.23 us of Python: above a tournament size of about 30 (no workload uses
+    over 2), a generation breeds slower than sized Generator calls would.
     """
 
     def __init__(self, rng: np.random.Generator, expected: int):
         self._bits = rng.bit_generator
-        self._saved = self._bits.state
-        self._has_half = bool(self._saved["has_uint32"])
-        self._half = self._saved["uinteger"]
+        state = self._bits.state
+        self._has_half, self._half = bool(state["has_uint32"]), state["uinteger"]
         self._chunk = max(1, min(expected, _RAW_CHUNK))
         self._block: list[int] = []
         self._pos = 0
-        self._drawn = 0
+
+    def _refill(self, count: int) -> None:
+        """Keep the unread outputs and append at least count fresh ones."""
+        self._block = self._block[self._pos:] + self._bits.random_raw(max(count, self._chunk)).tolist()
+        self._pos = 0
 
     def raw(self, count: int) -> list[int]:
         """The next count outputs."""
-        out = self._block[self._pos:self._pos + count]
-        self._pos += len(out)
-        while len(out) < count:
-            self._refill()
-            self._pos = min(count - len(out), self._chunk)
-            out += self._block[:self._pos]
-        return out
-
-    def _refill(self) -> None:
-        self._block = self._bits.random_raw(self._chunk).tolist()
-        self._drawn += self._chunk
-        self._pos = 0
+        if self._pos + count > len(self._block):
+            self._refill(count)
+        self._pos += count
+        return self._block[self._pos - count:self._pos]
 
     def integers(self, bound: int, count: int) -> list[int]:
         """integers(0, bound, size=count) for 1 <= bound <= 2^32."""
@@ -350,10 +342,9 @@ class _RawDraws:
             if has_half:
                 has_half, m = False, half * bound
             else:
-                # One output, taken without a slice: this is breeding's
-                # innermost loop.
+                # One output, taken without a slice: breeding's innermost loop.
                 if self._pos == len(self._block):
-                    self._refill()
+                    self._refill(1)
                 x = self._block[self._pos]
                 self._pos += 1
                 has_half, half, m = True, x >> 32, (x & 0xFFFFFFFF) * bound
@@ -363,8 +354,8 @@ class _RawDraws:
         return out
 
     def close(self) -> None:
-        self._bits.state = self._saved
-        self._bits.advance(self._drawn - len(self._block) + self._pos)
+        # PCG64 wraps a negative advance modulo 2^128; advance clears the buffer.
+        self._bits.advance(self._pos - len(self._block))
         state = self._bits.state
         state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
         self._bits.state = state
@@ -391,26 +382,27 @@ def _breed(population: np.ndarray, fits: np.ndarray, config: GAConfig,
     elites = config.elite_count
     rate = config.mutation_rate
     rows = population.tolist()
-    children = [rows[i] for i in _ranked(fits)[:elites].tolist()]
+    # A stable sort keeps the lower index first among exact ties.
+    children = [rows[i] for i in np.argsort(-fits, kind="stable")[:elites].tolist()]
     # Tournaments compare Python floats: the same values, without a numpy
     # scalar per comparison.
     fit_list = fits.tolist()
     size = len(fit_list)
-    # A coin x lands below a rate when x >> 11 is below its cut (_RawDraws).
-    cross_cut = math.ceil(config.crossover_rate * 2.0**53)
-    mutate_cut = math.ceil(rate * 2.0**53)
+    # A coin x lands below a rate when x is below its cut (_RawDraws).
+    cross_cut = math.ceil(config.crossover_rate * 2.0**53) << 11
+    mutate_cut = math.ceil(rate * 2.0**53) << 11
     # Per child: k outputs for 2k tournament halves, a coin, at most one
     # more for the point, L coins and about L * rate / 2 for the genes.
     draws = _RawDraws(rng, math.ceil((size - elites) * (k + 2 + length * (1 + rate / 2))))
     for _ in range(elites, size):
         drawn = draws.integers(size, 2 * k)
         first = rows[_tournament_winner(drawn[:k], fit_list)]
-        if length >= 2 and draws.raw(1)[0] >> 11 < cross_cut:
+        if length >= 2 and draws.raw(1)[0] < cross_cut:
             point = 1 + draws.integers(length - 1, 1)[0]
             child = first[:point] + rows[_tournament_winner(drawn[k:], fit_list)][point:]
         else:
             child = first[:]
-        hits = [locus for locus, x in enumerate(draws.raw(length)) if x >> 11 < mutate_cut]
+        hits = [locus for locus, x in enumerate(draws.raw(length)) if x < mutate_cut]
         for locus, gene in zip(hits, draws.integers(table_size, len(hits))):
             child[locus] = gene
         children.append(child)

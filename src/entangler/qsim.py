@@ -112,7 +112,8 @@ class StateVector:
         if amps.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} amplitudes for n={self.n}, got shape {amps.shape}")
         norm_sq = float(np.real(np.vdot(amps, amps)))
-        if abs(norm_sq - 1.0) > RENORM_TOL:
+        # Written so that a NaN norm, from a NaN or infinite amplitude, fails too.
+        if not abs(norm_sq - 1.0) <= RENORM_TOL:
             raise ValueError(f"state is not normalized: sum of squared moduli is {norm_sq!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

@@ -280,5 +280,8 @@ def test_lookup_covers_every_catalog_name():
 
 def test_ghz_names_resolve_for_any_small_n():
     assert lookup("ghz4").kind == "state"
+    # An entry's name is canonical: lower case, no leading zeros.
+    assert lookup("GHZ03").name == "ghz3"
+    assert lookup("circuit_GHZ004").name == "circuit_ghz4"
     assert lookup("circuit_ghz5").kind == "circuit"
     assert lookup("ghz4").expected_total == 3.5

@@ -42,6 +42,13 @@ def test_evaluate_catalog_state_json(capsys):
     assert len(record["per_cut"]) == 31
 
 
+def test_evaluate_reports_a_ghz_entry_by_its_canonical_name(capsys):
+    for name in ("GHZ03", "ghz" + "0" * 300 + "3"):
+        status, out, _ = run_cli(capsys, "evaluate", "--catalog", name, "--format", "json")
+        assert status == EX_OK
+        assert json.loads(out)["subject"] == "ghz3"
+
+
 def test_evaluate_circuit_file(tmp_path, capsys):
     path = tmp_path / "ghz3.qc"
     path.write_text("H(2); CNOT(2,1); CNOT(2,0)\n")
@@ -370,6 +377,13 @@ def test_targets_that_are_not_finite_are_usage_errors(capsys):
         assert status == EX_USAGE, target
         assert out == ""
         assert "target fitness must be finite" in err
+
+
+def test_targets_that_are_not_numbers_are_usage_errors(capsys):
+    status, out, err = run_cli(capsys, "evolve", "--qubits", "3", "--length", "3", "--gens", "0", "--target", "abc")
+    assert status == EX_USAGE
+    assert out == ""
+    assert "--target must be a number or 'max', got 'abc'" in err
 
 
 def test_negative_seeds_are_usage_errors(capsys):

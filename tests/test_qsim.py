@@ -77,8 +77,10 @@ def test_qubit_counts_store_numpy_ints_as_ints():
 
 
 def test_state_vector_requires_normalization():
-    with pytest.raises(ValueError, match="not normalized"):
-        StateVector(1, np.array([1.0, 1.0], dtype=complex))
+    # A NaN or infinite amplitude makes the norm NaN, which is refused too.
+    for n, amps in ((1, [1.0, 1.0]), (2, [np.nan, np.nan, 0.0, 0.0]), (2, [np.inf, 0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(n, np.array(amps, dtype=complex))
 
 
 def test_state_vector_requires_matching_length():
