@@ -149,12 +149,12 @@ def _catalog_entry(name: str) -> NamedEntry:
 
 
 def _read_input(path: str) -> str:
-    """A --circuit file's text, read as UTF-8 on any host, if readable and small."""
+    """A --circuit file's text, read as UTF-8 on any host (a leading BOM skipped), if readable and small."""
     try:
         with open(path, "rb") as fh:
             data = fh.read(MAX_INPUT_BYTES + 1)
         if len(data) <= MAX_INPUT_BYTES:
-            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
     raise _UsageError(f"{path} is larger than {MAX_INPUT_BYTES} bytes")

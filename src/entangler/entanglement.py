@@ -22,16 +22,23 @@ Two numerical paths compute a cut's contribution:
   indices and sums the negative eigenvalues.  Kept as the independent
   cross-check (CLI ``--validate``).
 
-A trace (``entanglement_trace``) keeps every register cut's current
-contribution in one list across the prefixes of a circuit, and after each
-gate sets again only the cuts that gate can change: none for a single-qubit
-gate, and for a two-qubit gate on (a, b) the cuts that separate a from b.
-It tracks components, the qubit sets the two-qubit gates so far have
-linked, and scores a changed cut's side in the gate's component on that
-component's own amplitudes; its docstring gives the rule.  An entry agrees
-with ``total_entanglement`` of the same prefix within 1e-12, and a
-single-qubit step repeats the entry before it exactly.  The CLI caps a
-trace at ``cli.MAX_TRACE_CUTS`` cut rescorings.
+The search loop, ``total_entanglement`` and ``cut_negativity`` always take
+the dense Schmidt path, whose last bits decide GA ties.  Only a trace
+(``entanglement_trace``) also scores exactly: a component no T gate has
+touched holds a stabilizer state, and each of its cuts contributes exactly
+(2^k - 1)/2, with k read off the cut's purity instead of an SVD
+(``_stack_stabilizer_negativities``).
+
+A trace keeps every register cut's current contribution in one list across
+the prefixes of a circuit, and after each gate sets again only the cuts that
+gate can change: none for a single-qubit gate, and for a two-qubit gate on
+(a, b) the cuts that separate a from b.  It tracks components, the qubit
+sets the two-qubit gates so far have linked, and scores a changed cut's side
+in the gate's component on that component's own amplitudes; its docstring
+gives the rule.  An entry agrees with ``total_entanglement`` of the same
+prefix within 1e-12, every entry of a T-free prefix is an exact multiple of
+1/2, and a single-qubit step repeats the entry before it exactly.  The CLI
+caps a trace at ``cli.MAX_TRACE_CUTS`` cut rescorings.
 
 Every scoring entry point, and everything that builds cuts, takes n from 2
 to qsim.MAX_QUBITS (``_check_scored``) and refuses any other n before it
@@ -43,11 +50,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, log2
 
 import numpy as np
 
-from .qsim import MAX_QUBITS, Circuit, StateVector, _apply_gate_inplace, zero_state
+from .qsim import MAX_QUBITS, NON_CLIFFORD_KINDS, Circuit, StateVector, _apply_gate_inplace, zero_state
 
 # Eigenvalues above this (tiny, negative) threshold count as zero so that
 # solver noise cannot accumulate across dozens of cuts.
@@ -60,6 +67,11 @@ NEGATIVE_EIGENVALUE_TOL = -1e-12
 # at n = 6 and 1,000 at n = 12.  A memo serves one qubit count.
 MEMO_MAX_BYTES = 64 << 20
 MEMO_ENTRY_OVERHEAD = 160
+
+# Most cut matrices _stack_stabilizer_negativities gathers at once: 32 * 2^n
+# amplitudes, 512 KiB at n = 10, where the 126 five-member cuts of n = 10
+# would take 2 MiB in one stack.
+PURITY_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -182,7 +194,33 @@ def _stack_negativities(amps: np.ndarray, gathers: np.ndarray) -> list[float]:
     return values
 
 
-def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = None) -> list[float]:
+def _stack_stabilizer_negativities(amps: np.ndarray, gathers: np.ndarray) -> list[float]:
+    """Exact contribution of each cut in a stack, in stack order, for a stabilizer state.
+
+    Across any cut a stabilizer state has 2^k equal Schmidt coefficients
+    (Fattal et al., quant-ph/0406168), so the cut contributes exactly
+    (2^k - 1)/2 and its purity ||M M^dag||_F^2 is 2^-k.  k is -log2 of the
+    purity, rounded; the Gram matrix is taken on the smaller side, at most
+    PURITY_CHUNK matrices at a time.  Raises RuntimeError when the purity
+    is more than 1e-6 (relative) from 2^-k: the state is not a stabilizer state.
+    """
+    values = []
+    for start in range(0, len(gathers), PURITY_CHUNK):
+        mats = amps[gathers[start:start + PURITY_CHUNK]]
+        if mats.shape[1] > mats.shape[2]:
+            mats = mats.swapaxes(1, 2)
+        gram = np.matmul(mats, mats.conj().swapaxes(1, 2))
+        # On Python floats: a chain of ufunc calls on a few values costs more than the matmul.
+        for purity in np.square(gram.view(np.float64)).sum(axis=(1, 2)).tolist():
+            rank = 2.0 ** round(-log2(purity))
+            if not abs(purity * rank - 1.0) <= 1e-6:
+                raise RuntimeError(f"cut purity {purity!r} is not a power of 1/2: not a stabilizer state")
+            values.append((rank - 1.0) / 2.0)
+    return values
+
+
+def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = None, *,
+                      stabilizer: bool = False) -> list[float]:
     """Every canonical cut's contribution, ascending by mask (mask m at m >> 1).
 
     apart=(a, b) scores only the cuts that separate qubit a from qubit b and
@@ -190,7 +228,10 @@ def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = 
     Each cut size still takes one stacked SVD, over just those cuts'
     gathers; LAPACK factors each matrix of a stack on its own, so a cut
     scores the same bits in a partial stack as in the full one.
+    stabilizer=True, for a stabilizer state only, scores each stack exactly
+    from its purities instead (_stack_stabilizer_negativities).
     """
+    score = _stack_stabilizer_negativities if stabilizer else _stack_negativities
     values = [0.0] * ((1 << (n - 1)) - 1)
     for _m, masks, gathers in _cut_layouts(n):
         if apart is not None:
@@ -199,7 +240,7 @@ def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = 
             if not picked:
                 continue
             masks, gathers = [masks[i] for i in picked], gathers[picked]
-        for mask, value in zip(masks, _stack_negativities(amps, gathers)):
+        for mask, value in zip(masks, score(amps, gathers)):
             values[mask >> 1] = value
     return values
 
@@ -321,6 +362,8 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     are scored on C's own state psi_C: the column holding the largest
     amplitude of the amplitudes reshaped along C (a rank-one matrix),
     normalized, or amps itself, uncopied, once C is the whole register.
+    While no T gate has acted on a qubit of C, psi_C is a stabilizer state
+    and these cuts are scored exactly from their purities; otherwise by SVD.
     Then each register cut R that separates a from b takes its value from
     two: v_S, C's value at S = R & C, and v_T, the kept value at the
     register cut of T = R - C.  That cut keeps all of C on one side, so this
@@ -333,16 +376,23 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     A kept value was scored on an earlier prefix or a component's state, or
     comes from the product rule, so an entry can differ from
     total_entanglement of the same prefix in the last bits (within 1e-12); a
-    single-qubit step repeats the entry before it.
+    single-qubit step repeats the entry before it.  On a T-free prefix every
+    value is an exact half-integer (2^k - 1)/2, the product rule keeps it so,
+    and each entry is the exact score, where total_entanglement can miss it
+    in the last bits.
     """
     n = _check_scored(circuit.n)
     register = (1 << n) - 1
     amps = zero_state(n).amplitudes.copy()
     groups = [1 << q for q in range(n)]  # groups[q]: member mask of qubit q's component
+    tainted = 0  # mask of the qubits a non-Clifford gate has acted on
     values = [0.0] * ((1 << (n - 1)) - 1)
     trace = [(0, _total_negativity(amps, n, known=values))]
     for step, gate in enumerate(circuit.gates, start=1):
         _apply_gate_inplace(amps, gate, n)
+        if gate.kind in NON_CLIFFORD_KINDS:
+            for q in gate.args:
+                tainted |= 1 << q
         if len(gate.args) == 2:
             a, b = gate.args
             joined = groups[a] | groups[b]
@@ -361,7 +411,7 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
                 psi = amps[np.array(spread, dtype=np.intp) | (top & ~joined)]
                 psi /= np.linalg.norm(psi)
             la, lb = members.index(a), members.index(b)
-            local = _cut_negativities(psi, len(members), (la, lb))
+            local = _cut_negativities(psi, len(members), (la, lb), stabilizer=not joined & tainted)
             full = len(spread) - 1
             # v_S by S = R & C, for the sides that separate a from b.
             part = {spread[l]: local[(l if l & 1 else full ^ l) >> 1]

@@ -24,6 +24,8 @@ MAX_QUBITS = 12
 SINGLE_QUBIT_KINDS = ("H", "X", "Y", "Z", "S", "T")
 TWO_QUBIT_KINDS = ("CNOT", "CZ")
 GATE_KINDS = SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS
+# Every other kind is Clifford: circuits without these make stabilizer states.
+NON_CLIFFORD_KINDS = ("T",)
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 

@@ -58,6 +58,15 @@ def test_evaluate_circuit_file(tmp_path, capsys):
     assert "nonzero coefficients: 2" in out
 
 
+def test_evaluate_skips_a_utf8_byte_order_mark(tmp_path, capsys):
+    # Windows editors may start a UTF-8 file with the mark EF BB BF.
+    path = tmp_path / "bell.qc"
+    path.write_bytes(b"\xef\xbb\xbfH(0); CNOT(0,1)\n")
+    status, out, err = run_cli(capsys, "evaluate", "--circuit", str(path), "--format", "json")
+    assert (status, err) == (EX_OK, "")
+    assert json.loads(out)["total"] == 0.5
+
+
 def test_evaluate_validate_mode(capsys):
     status, out, _ = run_cli(capsys, "evaluate", "--catalog", "psi5a", "--validate", "--format", "json")
     assert status == EX_OK

@@ -11,6 +11,7 @@ from entangler.entanglement import (
     _cut_layouts,
     _cut_negativities,
     _stack_negativities,
+    _stack_stabilizer_negativities,
     _total_negativity,
     cut_negativity,
     entanglement_trace,
@@ -20,13 +21,35 @@ from entangler.entanglement import (
     total_entanglement,
 )
 from entangler.evolve import GAConfig, build_gate_set
-from entangler.qsim import GATE_KINDS, MAX_QUBITS, Circuit, GateSpec, StateVector, apply_gate, run_circuit, zero_state
+from entangler.qsim import (
+    GATE_KINDS,
+    MAX_QUBITS,
+    NON_CLIFFORD_KINDS,
+    Circuit,
+    GateSpec,
+    StateVector,
+    apply_gate,
+    parse_circuit,
+    run_circuit,
+    zero_state,
+)
 
 from oracles import char_poly_eigenvalues, partial_transpose_dense, random_state
 
 
+CLIFFORD_KINDS = tuple(kind for kind in GATE_KINDS if kind not in NON_CLIFFORD_KINDS)
+
+
 def bell_state():
     return StateVector(2, np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
+
+
+@st.composite
+def _circuits(draw, kinds=GATE_KINDS):
+    """Circuits over the given gate kinds (every kind by default), n = 2..8, of up to 3n gates."""
+    n = draw(st.integers(2, 8))
+    table = build_gate_set(n, kinds).table
+    return Circuit(n, tuple(draw(st.lists(st.sampled_from(table), max_size=3 * n))))
 
 
 # --- cuts --------------------------------------------------------------------
@@ -285,6 +308,33 @@ def test_schmidt_and_eigen_paths_agree(seed, n):
         assert abs(fast - slow) < 1e-10
 
 
+@given(circuit=_circuits(CLIFFORD_KINDS))
+# CZ and S make the complex phases of a graph state; the cut {0} then has k = 1.
+@example(circuit=Circuit(3, tuple(GateSpec(kind, args) for kind, args in (
+    ("H", (0,)), ("H", (1,)), ("H", (2,)), ("CZ", (0, 1)), ("CZ", (1, 2)), ("S", (1,))))))
+@settings(max_examples=40)
+def test_stabilizer_scores_are_exact_and_match_the_svd(circuit):
+    amps = run_circuit(circuit, zero_state(circuit.n)).amplitudes
+    for _m, _masks, gathers in _cut_layouts(circuit.n):
+        exact = _stack_stabilizer_negativities(amps, gathers)
+        dense = _stack_negativities(amps, gathers)
+        assert len(exact) == len(dense)
+        for value, svd_value in zip(exact, dense):
+            assert abs(value - svd_value) <= 1e-12
+            k = round(np.log2(2.0 * value + 1.0))
+            assert value == (2**k - 1) / 2
+
+
+def test_stabilizer_scores_refuse_a_spectrum_that_is_not_flat():
+    # T right after H only sets a phase: the Schmidt spectrum is still flat.
+    flat = run_circuit(parse_circuit("H(0); T(0); CNOT(0,1)"), zero_state(2)).amplitudes
+    assert _stack_stabilizer_negativities(flat, _cut_layouts(2)[0][2]) == [0.5]
+    # A second H turns that phase into unequal Schmidt coefficients, cos^2 and sin^2 of pi/8.
+    skewed = run_circuit(parse_circuit("H(0); T(0); H(0); CNOT(0,1)"), zero_state(2)).amplitudes
+    with pytest.raises(RuntimeError, match="not a stabilizer state"):
+        _stack_stabilizer_negativities(skewed, _cut_layouts(2)[0][2])
+
+
 # --- totals and bounds -----------------------------------------------------------
 
 
@@ -404,12 +454,25 @@ def test_trace_of_empty_circuit():
     assert entanglement_trace(Circuit(2, ())) == [(0, 0.0)]
 
 
-@st.composite
-def _circuits(draw):
-    """Circuits over every gate kind, n = 2..8, of up to 3n gates."""
-    n = draw(st.integers(2, 8))
-    table = build_gate_set(n, GATE_KINDS).table
-    return Circuit(n, tuple(draw(st.lists(st.sampled_from(table), max_size=3 * n))))
+@pytest.mark.parametrize("name, total", [
+    ("circuit_4a", 5.5), ("circuit_4b", 5.5), ("circuit_5a", 17.5), ("circuit_5b", 17.5), ("circuit_6a", 60.5)])
+def test_catalog_traces_end_exactly_at_their_totals(name, total):
+    assert entanglement_trace(named_circuit(name))[-1][1] == total
+
+
+@pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
+def test_ghz_traces_end_exactly_at_their_totals(n):
+    assert entanglement_trace(ghz_circuit(n))[-1][1] == ((1 << (n - 1)) - 1) / 2
+
+
+@given(circuit=_circuits(CLIFFORD_KINDS))
+@settings(max_examples=40)
+def test_t_free_trace_entries_are_exact_half_integers(circuit):
+    n, gates = circuit.n, circuit.gates
+    for k, (_, value) in enumerate(entanglement_trace(circuit)):
+        assert 2.0 * value == int(2.0 * value)
+        exact = total_entanglement(run_circuit(Circuit(n, gates[:k]), zero_state(n))).total
+        assert abs(value - exact) <= 1e-12
 
 
 @given(circuit=_circuits())
@@ -456,6 +519,36 @@ def _register_join_step(circuit: Circuit) -> int:
     return len(circuit) + 1
 
 
+_SCORERS = ("_stack_negativities", "_stack_stabilizer_negativities")
+
+
+def _spied_trace(patch, circuit: Circuit, record) -> list[tuple[int, float]]:
+    """entanglement_trace(circuit), calling record(gates applied, amps, gathers, scorer) per scored stack.
+
+    Both scorers are spied on: the SVD one and the exact one that T-free
+    components take.
+    """
+    applied = [0]
+    apply_gate_inplace = entanglement_module._apply_gate_inplace
+
+    def counted_apply(amps, gate, n):
+        applied[0] += 1
+        apply_gate_inplace(amps, gate, n)
+
+    def spied(scorer):
+        score = getattr(entanglement_module, scorer)
+
+        def recorded_stack(amps, gathers):
+            record(applied[0], amps, gathers, scorer)
+            return score(amps, gathers)
+        return recorded_stack
+
+    patch.setattr(entanglement_module, "_apply_gate_inplace", counted_apply)
+    for scorer in _SCORERS:
+        patch.setattr(entanglement_module, scorer, spied(scorer))
+    return entanglement_trace(circuit)
+
+
 @given(circuit=_clustered_circuits())
 # CZ(2, 3) entangles a pair beside the one on {0, 1}: the cut {0, 2} splits both, so the
 # product rule gives it from the two pairs' values.  CNOT(1, 2) then joins the pairs.
@@ -469,23 +562,14 @@ def _register_join_step(circuit: Circuit) -> int:
 @settings(max_examples=40)
 def test_trace_scores_separate_components_on_their_own_states(circuit):
     n, gates = circuit.n, circuit.gates
-    applied, whole = [0], []
-    apply_gate_inplace = entanglement_module._apply_gate_inplace
-    stack_negativities = entanglement_module._stack_negativities
+    whole = []
 
-    def counted_apply(amps, gate, n):
-        applied[0] += 1
-        apply_gate_inplace(amps, gate, n)
-
-    def recorded_stack(amps, gathers):
+    def record(applied, amps, _gathers, _scorer):
         if amps.size == 1 << n:
-            whole.append(applied[0])
-        return stack_negativities(amps, gathers)
+            whole.append(applied)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(entanglement_module, "_apply_gate_inplace", counted_apply)
-        patch.setattr(entanglement_module, "_stack_negativities", recorded_stack)
-        steps = entanglement_trace(circuit)
+        steps = _spied_trace(patch, circuit, record)
     # No cut is scored on the whole state while the register is still split.
     assert min(whole, default=len(gates) + 1) >= _register_join_step(circuit)
     for k, (_, value) in enumerate(steps):
@@ -495,27 +579,53 @@ def test_trace_scores_separate_components_on_their_own_states(circuit):
             assert value == steps[k - 1][1]
 
 
+def _t_topped_ghz_circuit(n: int) -> Circuit:
+    """ghz_circuit(n) with T on its top qubit right after the H: every component then takes the SVD."""
+    gates = ghz_circuit(n).gates
+    return Circuit(n, gates[:1] + (GateSpec("T", (n - 1,)),) + gates[1:])
+
+
+def _whole_register_steps(monkeypatch, circuit: Circuit):
+    """The trace, the steps that scored a stack on the whole register, and the scorers used."""
+    whole, scorers = [], set()
+
+    def record(applied, _amps, gathers, scorer):
+        scorers.add(scorer)
+        if gathers.shape[1] * gathers.shape[2] == 1 << circuit.n:
+            whole.append(applied)
+
+    return _spied_trace(monkeypatch, circuit, record), whole, scorers
+
+
+def _cuts_scored_per_step(monkeypatch, circuit: Circuit):
+    """Per step, the number of cuts scored on each state size, and the scorers used."""
+    scored, scorers = {}, set()
+
+    def record(applied, amps, gathers, scorer):
+        scorers.add(scorer)
+        by_size = scored.setdefault(applied, {})
+        by_size[amps.size] = by_size.get(amps.size, 0) + gathers.shape[0]
+
+    _spied_trace(monkeypatch, circuit, record)
+    return scored, scorers
+
+
 def test_ghz_trace_scores_the_whole_register_only_at_its_last_cnot(monkeypatch):
     n = 8
     circuit = ghz_circuit(n)
-    applied, whole = [0], []
-    apply_gate_inplace = entanglement_module._apply_gate_inplace
-    stack_negativities = entanglement_module._stack_negativities
-
-    def counted_apply(amps, gate, n):
-        applied[0] += 1
-        apply_gate_inplace(amps, gate, n)
-
-    def recorded_stack(amps, gathers):
-        if gathers.shape[1] * gathers.shape[2] == 1 << n:
-            whole.append(applied[0])
-        return stack_negativities(amps, gathers)
-
-    monkeypatch.setattr(entanglement_module, "_apply_gate_inplace", counted_apply)
-    monkeypatch.setattr(entanglement_module, "_stack_negativities", recorded_stack)
-    steps = entanglement_trace(circuit)
+    steps, whole, scorers = _whole_register_steps(monkeypatch, circuit)
     assert whole and set(whole) == {len(circuit)}
     assert abs(steps[-1][1] - ((1 << (n - 1)) - 1) / 2) < 1e-12
+    assert scorers == {"_stack_stabilizer_negativities"}
+
+
+def test_t_topped_ghz_trace_scores_the_whole_register_only_at_its_last_cnot(monkeypatch):
+    n = 8
+    circuit = _t_topped_ghz_circuit(n)
+    steps, whole, scorers = _whole_register_steps(monkeypatch, circuit)
+    assert whole and set(whole) == {len(circuit)}
+    assert abs(steps[-1][1] - ((1 << (n - 1)) - 1) / 2) < 1e-12
+    assert scorers == {"_stack_negativities"}
 
 
 def test_ghz_trace_scores_only_the_component_cuts_a_cnot_changes(monkeypatch):
@@ -523,22 +633,17 @@ def test_ghz_trace_scores_only_the_component_cuts_a_cnot_changes(monkeypatch):
     # qubits: of its 2^(k-1) - 1 cuts, only the 2^(k-2) that separate the
     # CNOT's qubits are scored, merge or not.
     n = 8
-    circuit = ghz_circuit(n)
-    applied, scored = [0], {}
-    apply_gate_inplace = entanglement_module._apply_gate_inplace
-    stack_negativities = entanglement_module._stack_negativities
-
-    def counted_apply(amps, gate, n):
-        applied[0] += 1
-        apply_gate_inplace(amps, gate, n)
-
-    def recorded_stack(amps, gathers):
-        by_size = scored.setdefault(applied[0], {})
-        by_size[amps.size] = by_size.get(amps.size, 0) + gathers.shape[0]
-        return stack_negativities(amps, gathers)
-
-    monkeypatch.setattr(entanglement_module, "_apply_gate_inplace", counted_apply)
-    monkeypatch.setattr(entanglement_module, "_stack_negativities", recorded_stack)
-    entanglement_trace(circuit)
+    scored, scorers = _cuts_scored_per_step(monkeypatch, ghz_circuit(n))
     for k in range(2, n):
         assert scored[k] == {1 << k: 1 << (k - 2)}, k
+    assert scorers == {"_stack_stabilizer_negativities"}
+
+
+def test_t_topped_ghz_trace_scores_only_the_component_cuts_a_cnot_changes(monkeypatch):
+    # The T is gate 2, so gate k + 1 grows the one component to k qubits.
+    n = 8
+    scored, scorers = _cuts_scored_per_step(monkeypatch, _t_topped_ghz_circuit(n))
+    assert 2 not in scored
+    for k in range(2, n):
+        assert scored[k + 1] == {1 << k: 1 << (k - 2)}, k
+    assert scorers == {"_stack_negativities"}
