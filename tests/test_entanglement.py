@@ -478,6 +478,11 @@ def test_t_free_trace_entries_are_exact_half_integers(circuit):
 @given(circuit=_circuits())
 # CNOT(1, 2) changes the cut {0, 2}, which holds its target but not its control.
 @example(circuit=Circuit(3, (GateSpec("H", (1,)), GateSpec("CNOT", (1, 2)))))
+# H T H leaves qubit 0 unevenly split, so the spectra it reaches are not flat: the T
+# before the first CNOT, and the one after it on a qubit already linked, keep every
+# later cut of that component on the SVD path.
+@example(circuit=parse_circuit("H(0); T(0); H(0); H(1); CNOT(1,2); CNOT(0,1)"))
+@example(circuit=parse_circuit("H(0); CNOT(0,1); H(2); T(0); H(0); CNOT(1,2); CNOT(0,1)"))
 @settings(max_examples=40)
 def test_trace_rescores_only_the_cuts_a_gate_can_change(circuit):
     n, gates = circuit.n, circuit.gates
@@ -522,13 +527,13 @@ def _register_join_step(circuit: Circuit) -> int:
 _SCORERS = ("_stack_negativities", "_stack_stabilizer_negativities")
 
 
-def _spied_trace(patch, circuit: Circuit, record) -> list[tuple[int, float]]:
-    """entanglement_trace(circuit), calling record(gates applied, amps, gathers, scorer) per scored stack.
+def _spied_trace(patch, circuit: Circuit):
+    """entanglement_trace(circuit) and, per scored stack, (gates applied, state size, gathers shape, scorer).
 
     Both scorers are spied on: the SVD one and the exact one that T-free
     components take.
     """
-    applied = [0]
+    applied, stacks = [0], []
     apply_gate_inplace = entanglement_module._apply_gate_inplace
 
     def counted_apply(amps, gate, n):
@@ -539,14 +544,14 @@ def _spied_trace(patch, circuit: Circuit, record) -> list[tuple[int, float]]:
         score = getattr(entanglement_module, scorer)
 
         def recorded_stack(amps, gathers):
-            record(applied[0], amps, gathers, scorer)
+            stacks.append((applied[0], amps.size, gathers.shape, scorer))
             return score(amps, gathers)
         return recorded_stack
 
     patch.setattr(entanglement_module, "_apply_gate_inplace", counted_apply)
     for scorer in _SCORERS:
         patch.setattr(entanglement_module, scorer, spied(scorer))
-    return entanglement_trace(circuit)
+    return entanglement_trace(circuit), stacks
 
 
 @given(circuit=_clustered_circuits())
@@ -562,14 +567,9 @@ def _spied_trace(patch, circuit: Circuit, record) -> list[tuple[int, float]]:
 @settings(max_examples=40)
 def test_trace_scores_separate_components_on_their_own_states(circuit):
     n, gates = circuit.n, circuit.gates
-    whole = []
-
-    def record(applied, amps, _gathers, _scorer):
-        if amps.size == 1 << n:
-            whole.append(applied)
-
     with pytest.MonkeyPatch.context() as patch:
-        steps = _spied_trace(patch, circuit, record)
+        steps, stacks = _spied_trace(patch, circuit)
+    whole = [applied for applied, size, _shape, _scorer in stacks if size == 1 << n]
     # No cut is scored on the whole state while the register is still split.
     assert min(whole, default=len(gates) + 1) >= _register_join_step(circuit)
     for k, (_, value) in enumerate(steps):
@@ -587,27 +587,18 @@ def _t_topped_ghz_circuit(n: int) -> Circuit:
 
 def _whole_register_steps(monkeypatch, circuit: Circuit):
     """The trace, the steps that scored a stack on the whole register, and the scorers used."""
-    whole, scorers = [], set()
-
-    def record(applied, _amps, gathers, scorer):
-        scorers.add(scorer)
-        if gathers.shape[1] * gathers.shape[2] == 1 << circuit.n:
-            whole.append(applied)
-
-    return _spied_trace(monkeypatch, circuit, record), whole, scorers
+    steps, stacks = _spied_trace(monkeypatch, circuit)
+    whole = [applied for applied, _size, shape, _scorer in stacks if shape[1] * shape[2] == 1 << circuit.n]
+    return steps, whole, {scorer for *_, scorer in stacks}
 
 
 def _cuts_scored_per_step(monkeypatch, circuit: Circuit):
     """Per step, the number of cuts scored on each state size, and the scorers used."""
-    scored, scorers = {}, set()
-
-    def record(applied, amps, gathers, scorer):
-        scorers.add(scorer)
+    scored, stacks = {}, _spied_trace(monkeypatch, circuit)[1]
+    for applied, size, shape, _scorer in stacks:
         by_size = scored.setdefault(applied, {})
-        by_size[amps.size] = by_size.get(amps.size, 0) + gathers.shape[0]
-
-    _spied_trace(monkeypatch, circuit, record)
-    return scored, scorers
+        by_size[size] = by_size.get(size, 0) + shape[0]
+    return scored, {scorer for *_, scorer in stacks}
 
 
 def test_ghz_trace_scores_the_whole_register_only_at_its_last_cnot(monkeypatch):
