@@ -34,9 +34,10 @@ the prefixes of a circuit, and after each gate sets again only the cuts that
 gate can change: none for a single-qubit gate, and for a two-qubit gate on
 (a, b) the cuts that separate a from b.  It tracks components, the qubit
 sets the two-qubit gates so far have linked, and scores a changed cut's side
-in the gate's component on that component's own amplitudes; its docstring
-gives the rule.  An entry agrees with ``total_entanglement`` of the same
-prefix within 1e-12, every entry of a T-free prefix is an exact multiple of
+in the gate's component on that component's own amplitudes, normalized, the
+whole register's included; its docstring gives the rule.  An entry agrees
+with ``total_entanglement`` of the same prefix within 1e-12 at any circuit
+length, every entry of a T-free prefix is an exact multiple of
 1/2, and a single-qubit step repeats the entry before it exactly.  The CLI
 caps a trace at ``cli.MAX_TRACE_CUTS`` cut rescorings.
 
@@ -54,7 +55,7 @@ from math import comb, log2
 
 import numpy as np
 
-from .qsim import MAX_QUBITS, NON_CLIFFORD_KINDS, Circuit, StateVector, _apply_gate_inplace, zero_state
+from .qsim import MAX_QUBITS, NON_CLIFFORD_KINDS, Circuit, StateVector, _apply_gate_inplace, _settle_norm, zero_state
 
 # Eigenvalues above this (tiny, negative) threshold count as zero so that
 # solver noise cannot accumulate across dozens of cuts.
@@ -286,12 +287,17 @@ def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | No
                       known: list[float] | None = None) -> float:
     """Fast scalar path used by the search loop and traces.
 
-    Sums left to right in mask order; np.sum or a compensated sum would move
-    the last bit, which decides GA ties and so the best genes found.
+    amps is a simulated state, not yet renormalized: before scoring, it goes
+    through run_circuit's norm rule (qsim._settle_norm), so the total is
+    total_entanglement's of the state run_circuit returns, bit for bit, and
+    a norm drifted past NORM_ERROR_TOL raises RuntimeError.  Sums left to
+    right in mask order; np.sum or a compensated sum would move the last
+    bit, which decides GA ties and so the best genes found.
 
     memo, when given, maps amps.tobytes() to the total: equal bytes give the
-    same SVD input, so a stored total is the one this call would compute.
-    It is cleared whenever one more entry would take it past MEMO_MAX_BYTES.
+    same SVD input, and were checked by the miss that stored them, so a
+    stored total is the one this call would compute.  It is cleared
+    whenever one more entry would take it past MEMO_MAX_BYTES.
 
     known, when given, is the trace's complete per-cut list for amps, every
     cut's current contribution: it is summed left to right as it stands and
@@ -302,8 +308,10 @@ def _total_negativity(amps: np.ndarray, n: int, *, memo: dict[bytes, float] | No
         total = memo.get(key)
         if total is not None:
             return total
+    if known is None:
+        known = _cut_negativities(_settle_norm(amps, "in a scored state"), n)
     total = 0.0
-    for value in _cut_negativities(amps, n) if known is None else known:
+    for value in known:
         total += value
     if memo is not None:
         if (len(memo) + 1) * (len(key) + MEMO_ENTRY_OVERHEAD) > MEMO_MAX_BYTES:
@@ -361,7 +369,7 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     gate on (a, b) joins component C.  First C's cuts that separate a from b
     are scored on C's own state psi_C: the column holding the largest
     amplitude of the amplitudes reshaped along C (a rank-one matrix),
-    normalized, or amps itself, uncopied, once C is the whole register.
+    normalized, a unit vector even when C is the whole register.
     While no T gate has acted on a qubit of C, psi_C is a stabilizer state
     and these cuts are scored exactly from their purities; otherwise by SVD.
     Then each register cut R that separates a from b takes its value from
@@ -402,14 +410,11 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
             for q in members:
                 groups[q] = joined
                 spread += [union | 1 << q for union in spread]
-            if joined == register:
-                psi = amps
-            else:
-                # amps holds psi_C (x) rest, so amps[spread | other bits of the
-                # top index] is psi_C times rest's largest amplitude.
-                top = int(np.argmax(np.abs(amps)))
-                psi = amps[np.array(spread, dtype=np.intp) | (top & ~joined)]
-                psi /= np.linalg.norm(psi)
+            # amps holds psi_C (x) rest, so amps[spread | other bits of the
+            # top index] is psi_C times rest's largest amplitude.
+            top = int(np.argmax(np.abs(amps)))
+            psi = amps[np.array(spread, dtype=np.intp) | (top & ~joined)]
+            psi /= np.linalg.norm(psi)
             la, lb = members.index(a), members.index(b)
             local = _cut_negativities(psi, len(members), (la, lb), stabilizer=not joined & tainted)
             full = len(spread) - 1

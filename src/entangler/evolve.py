@@ -135,10 +135,12 @@ def fitness(genes: Chromosome, gate_set: GateSet, *, memo: dict[bytes, float] | 
     """Summed negativity of the decoded circuit's output from |00...0>.
 
     Pure and deterministic; equals
-    total_entanglement(run_circuit(decode(genes), zero_state(n))).total.
-    memo is an optional state -> score dict for this gate set's qubit count,
-    shared across calls; it returns the same value, only sooner for a state
-    seen before.
+    total_entanglement(run_circuit(decode(genes), zero_state(n))).total bit
+    for bit at any length, since the state is scored under run_circuit's
+    norm rule (renormalized past RENORM_TOL, RuntimeError past
+    NORM_ERROR_TOL; see _total_negativity).  memo is an optional state ->
+    score dict for this gate set's qubit count, shared across calls; it
+    returns the same value, only sooner for a state seen before.
     """
     n = gate_set.n
     amps = np.zeros(1 << n, dtype=complex)

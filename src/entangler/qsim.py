@@ -38,8 +38,9 @@ GATE_MATRICES = {
     "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
 }
 
-# Norm drift after a circuit run: below RENORM_TOL we leave the state alone,
-# up to NORM_ERROR_TOL we renormalize, beyond that something is broken.
+# Norm drift of a simulated state (_settle_norm): below RENORM_TOL we leave
+# the state alone, up to NORM_ERROR_TOL we renormalize, beyond that something
+# is broken.
 RENORM_TOL = 1e-12
 NORM_ERROR_TOL = 1e-9
 
@@ -212,19 +213,37 @@ def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
     return run_circuit(Circuit(state.n, (gate,)), state)
 
 
+def _settle_norm(amps: np.ndarray, where: str) -> np.ndarray:
+    """Simulated amplitudes under the package's one norm rule.
+
+    A norm that has drifted from 1 by at most RENORM_TOL is left alone and
+    amps itself returned; up to NORM_ERROR_TOL, amps divided by its norm is
+    returned, a new array; beyond that RuntimeError names the drift and
+    where it was found.
+    """
+    norm_sq = float(np.vdot(amps, amps).real)
+    drift = abs(norm_sq - 1.0)
+    if drift > NORM_ERROR_TOL:
+        raise RuntimeError(f"norm drifted by {drift:.3e} {where}; gate application is broken")
+    if drift > RENORM_TOL:
+        return amps / np.sqrt(norm_sq)
+    return amps
+
+
 def run_circuit(circuit: Circuit, initial: StateVector) -> StateVector:
-    """Apply circuit.gates in stored order to the initial state."""
+    """Apply circuit.gates in stored order to the initial state.
+
+    Refuses more than MAX_QUBITS qubits before anything is copied, so the
+    kernel's caches only ever hold orders and index vectors for n <= MAX_QUBITS.
+    """
     if circuit.n != initial.n:
         raise ValueError(f"circuit is on {circuit.n} qubits but the state has {initial.n}")
+    if circuit.n > MAX_QUBITS:
+        raise ValueError(f"simulation is capped at {MAX_QUBITS} qubits, got n={circuit.n}")
     amps = initial.amplitudes.copy()
     for gate in circuit.gates:
         _apply_gate_inplace(amps, gate, circuit.n)
-    drift = abs(float(np.real(np.vdot(amps, amps))) - 1.0)
-    if drift > NORM_ERROR_TOL:
-        raise RuntimeError(f"norm drifted by {drift:.3e} after {len(circuit)} gates; gate application is broken")
-    if drift > RENORM_TOL:
-        amps /= np.sqrt(np.real(np.vdot(amps, amps)))
-    return StateVector(circuit.n, amps)
+    return StateVector(circuit.n, _settle_norm(amps, f"after {len(circuit)} gates"))
 
 
 def nonzero_coefficient_count(state: StateVector, tol: float = 1e-9) -> int:

@@ -465,6 +465,16 @@ def test_ghz_traces_end_exactly_at_their_totals(n):
     assert entanglement_trace(ghz_circuit(n))[-1][1] == ((1 << (n - 1)) - 1) / 2
 
 
+def test_a_long_trace_ends_within_its_bound_of_the_total():
+    # 20,001 Hadamards drift the norm past RENORM_TOL; the joining CNOT scores
+    # the whole register on its normalized amplitudes, as run_circuit's state is.
+    gates = (GateSpec("H", (0,)),) * 20_001 + (GateSpec("T", (0,)), GateSpec("H", (0,)), GateSpec("CNOT", (0, 1)))
+    circuit = Circuit(2, gates)
+    total = total_entanglement(run_circuit(circuit, zero_state(2))).total
+    assert total > 0.0
+    assert abs(entanglement_trace(circuit)[-1][1] - total) <= 1e-12
+
+
 @given(circuit=_circuits(CLIFFORD_KINDS))
 @settings(max_examples=40)
 def test_t_free_trace_entries_are_exact_half_integers(circuit):

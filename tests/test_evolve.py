@@ -163,6 +163,27 @@ def test_fitness_equals_report_total_bit_for_bit(data, n):
     assert total_entanglement(state).total == fitness(genes, gs)
 
 
+def test_fitness_of_a_long_genome_scores_the_state_run_circuit_returns():
+    # 10,001 Hadamards drift the norm past RENORM_TOL, so run_circuit
+    # renormalizes; fitness scores that state too, not the drifted one.
+    gs = build_gate_set(2, ("H", "CNOT"))
+    genes = encode(Circuit(2, (GateSpec("H", (0,)),) * 10_001 + (GateSpec("CNOT", (0, 1)),)), gs)
+    total = total_entanglement(run_circuit(decode(genes, gs), zero_state(2))).total
+    assert fitness(genes, gs) == total
+    memo = {}
+    assert fitness(genes, gs, memo=memo) == fitness(genes, gs, memo=memo) == total
+
+
+def test_fitness_refuses_a_norm_that_drifts_past_the_error_bound(monkeypatch):
+    def scaling_kernel(amps, gate, n):
+        amps *= 1.001
+
+    monkeypatch.setattr(evolve_module, "_apply_gate_inplace", scaling_kernel)
+    gs = build_gate_set(2, ("H", "CNOT"))
+    with pytest.raises(RuntimeError, match="norm drifted by .* in a scored state"):
+        fitness([0], gs)
+
+
 @pytest.mark.parametrize("genes", [[4], [0, 9], [-1], [2, -3]])
 def test_fitness_refuses_genes_outside_the_table(genes):
     gs = build_gate_set(2, ("H", "CNOT"))
@@ -254,7 +275,9 @@ def test_memo_stays_within_its_byte_bound_at_twelve_qubits(monkeypatch):
     tracemalloc.start()
     try:
         for i in range(capacity + 5):
-            amps[1] = i
+            # Distinct basis states: distinct keys, each a unit vector.
+            amps.fill(0.0)
+            amps[i] = 1.0
             assert _total_negativity(amps, 12, memo=memo) == 0.0
             assert len(memo) * entry <= MEMO_MAX_BYTES
             if i == capacity - 1:

@@ -229,6 +229,20 @@ def test_run_circuit_refuses_a_norm_that_drifts_past_the_error_bound(monkeypatch
         apply_gate(zero_state(2), GateSpec("H", (0,)))
 
 
+def test_simulation_refuses_more_qubits_than_the_cap():
+    # A 13-qubit state may be built, so that scoring can be shown to refuse
+    # it; simulating it is refused before the kernel or its caches see it.
+    state = StateVector(MAX_QUBITS + 1, np.eye(1, 2 ** (MAX_QUBITS + 1))[0])
+    gates = (GateSpec("H", (0,)), GateSpec("CNOT", (0, MAX_QUBITS)))
+    before = (_cnot_order.cache_info(), _flip_index.cache_info())
+    with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits"):
+        run_circuit(Circuit(MAX_QUBITS + 1, gates), state)
+    for gate in gates:
+        with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits"):
+            apply_gate(state, gate)
+    assert (_cnot_order.cache_info(), _flip_index.cache_info()) == before
+
+
 def test_chained_apply_gate_renormalizes_like_run_circuit():
     # Kept as they came out of the kernel, the norm of these states would
     # drift past RENORM_TOL after a few thousand gates, and StateVector would
