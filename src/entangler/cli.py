@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                                required=dest in ("qubits", "length"))
         p.add_argument("--workers", type=int, default=1,
                        help=f"parallel fitness workers, at most {MAX_WORKERS}; no more processes start "
-                            "than there are individuals or CPUs; does not change results")
+                            "than there are individuals or usable CPUs; does not change results")
         p.add_argument("--format", choices=formats, default=formats[0])
     return parser
 

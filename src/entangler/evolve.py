@@ -11,13 +11,13 @@ Breeding takes each generation's draws as raw PCG64 outputs and consumes
 them by numpy's own rules (see ``_RawDraws``), so a run is bit for bit the
 one the equivalent Generator calls would give.
 Fitness is pure and consumes no randomness, so each generation may be split
-into one slice of rows per worker process; the scores are merged back in
-population order before any further draw, which keeps runs bit-identical
-for any worker count.
+into one slice of rows per worker process (see ``_Workers``); the scores are
+merged back in population order before any further draw, which keeps runs
+bit-identical for any worker count.
 
 Many genomes decode to the same state, so one run scores each distinct state
 once: ``evolve`` gives ``fitness`` a fresh state -> score memo per call (and
-each pool worker one of its own), and a repeated state reads back the float
+each worker process one of its own), and a repeated state reads back the float
 its first scoring stored.  The memo dies with the run.
 """
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -45,7 +44,7 @@ TARGET_SLACK = 1e-9
 MAX_POPULATION_GENES = 10**6
 
 # Largest worker count evolve() accepts.  It never starts more processes than
-# there are individuals or CPUs, since results do not depend on the count.
+# there are individuals or usable CPUs, since results do not depend on the count.
 MAX_WORKERS = 1024
 
 
@@ -238,9 +237,10 @@ class EvolutionResult:
 
 def _pool_size(workers: int, population_size: int) -> int:
     """Processes to start: none for a serial run, else at least one and at
-    most the individuals or CPUs there are.  The one place that reads the
-    count, an int (numpy ints pass, floats and strings are refused) from 0
-    to MAX_WORKERS; evolve() asks it before any process starts."""
+    most the individuals or usable CPUs there are (this process's affinity
+    mask where the platform has one).  The one place that reads the count,
+    an int (numpy ints pass, floats and strings are refused) from 0 to
+    MAX_WORKERS; evolve() asks it before any process starts."""
     workers = operator.index(workers)
     if workers < 0:
         raise ValueError(f"worker count must be at least 0, got {workers}")
@@ -248,35 +248,99 @@ def _pool_size(workers: int, population_size: int) -> int:
         raise ValueError(f"worker count must be at most {MAX_WORKERS}, got {workers}")
     if workers <= 1:
         return 0
-    return min(workers, population_size, os.cpu_count() or 1)
-
-
-# Each pool worker's gate set and score memo, set by _pool_init; the pool,
-# and so the memo, lives for one evolve() call.
-_POOL_GATE_SET: GateSet | None = None
-_POOL_MEMO: dict[bytes, float] | None = None
-
-
-def _pool_init(n: int, families: tuple[str, ...]) -> None:
-    global _POOL_GATE_SET, _POOL_MEMO
-    _POOL_GATE_SET = build_gate_set(n, families)
-    _POOL_MEMO = {}
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(workers, population_size, cpus)
 
 
 def _fitnesses(rows: np.ndarray, gate_set: GateSet, memo: dict[bytes, float]) -> np.ndarray:
     return np.array([fitness(row, gate_set, memo=memo) for row in rows])
 
 
-def _pool_evaluate(rows: np.ndarray) -> np.ndarray:
-    return _fitnesses(rows, _POOL_GATE_SET, _POOL_MEMO)
+def _serve(conn, gate_set: GateSet) -> None:
+    """A fitness worker's loop: score each slice of rows received, with a
+    memo of its own, and send back the scores or the exception scoring
+    raised.  Returns on None, on EOF, or once the parent process is gone."""
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    parent = parent_process().sentinel
+    memo: dict[bytes, float] = {}
+    try:
+        while conn in wait([conn, parent]) and (rows := conn.recv()) is not None:
+            try:
+                reply = _fitnesses(rows, gate_set, memo)
+            except Exception as exc:
+                reply = exc
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass
+
+
+class _Workers:
+    """Fitness worker processes for one evolve() run, each started once from
+    the default multiprocessing context and spoken to over its own pipe."""
+
+    def __init__(self, count: int, gate_set: GateSet):
+        import multiprocessing
+
+        self._workers: list = []  # (process, the parent's end of its pipe)
+        try:
+            for _ in range(count):
+                conn, child_end = multiprocessing.Pipe()
+                proc = multiprocessing.Process(target=_serve, args=(child_end, gate_set))
+                try:
+                    proc.start()
+                finally:
+                    # The worker's end is then its alone: EOF here once it exits.
+                    child_end.close()
+                self._workers.append((proc, conn))
+        except BaseException:
+            self.close()
+            raise
+
+    def __len__(self) -> int:
+        return len(self._workers)
+
+    def map(self, slices: list[np.ndarray]) -> list[np.ndarray]:
+        """Worker i's scores of slices[i], in worker order: one send and one
+        receive each.  An exception scoring raised is raised here; a worker
+        that died raises RuntimeError naming its exit code."""
+        for (proc, conn), rows in zip(self._workers, slices):
+            _while_alive(proc, conn.send, rows)
+        replies = [_while_alive(proc, conn.recv) for proc, conn in self._workers]
+        for reply in replies:
+            if isinstance(reply, BaseException):
+                raise reply
+        return replies
+
+    def close(self) -> None:
+        """Tell every worker to stop and wait until each has exited."""
+        for _, conn in self._workers:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # that worker has exited already
+            conn.close()
+        for proc, _ in self._workers:
+            proc.join()
+
+
+def _while_alive(proc, call, *args):
+    """call(*args) on proc's pipe; RuntimeError naming proc's exit code once
+    the pipe shows that proc has exited."""
+    try:
+        return call(*args)
+    except (EOFError, OSError):
+        proc.join()
+        raise RuntimeError(f"fitness worker {proc.pid} exited with code {proc.exitcode}") from None
 
 
 def _evaluate(population: np.ndarray, gate_set: GateSet, memo: dict[bytes, float],
-              pool: ProcessPoolExecutor | None, workers: int) -> np.ndarray:
-    """Fitness per row, in population order; each pool worker scores one slice."""
-    if pool is None:
+              workers: _Workers | None) -> np.ndarray:
+    """Fitness per row, in population order; each worker scores one slice."""
+    if workers is None:
         return _fitnesses(population, gate_set, memo)
-    return np.concatenate(list(pool.map(_pool_evaluate, np.array_split(population, workers))))
+    return np.concatenate(workers.map(np.array_split(population, len(workers))))
 
 
 def _tournament_winner(candidates: list[int], fits: list[float]) -> int:
@@ -422,24 +486,28 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
     evaluate, record the histories, then stop or breed.  The loop stops once
     the best fitness reaches target_fitness (within 1e-9) or after
     max_generations breeding rounds; the best individual is then the top of
-    the last population.  workers > 1 starts a pool of at most
-    min(workers, population_size, CPU count) processes, each scoring one
-    slice of every generation; more than MAX_WORKERS is refused first.
+    the last population.
+
+    workers > 1 starts min(workers, population_size, usable CPUs) worker
+    processes, once per call, from the default multiprocessing context
+    (fork on Linux before Python 3.14, forkserver from 3.14, spawn on macOS
+    and Windows).  Each generation, every worker gets one contiguous slice
+    of the population and sends back its scores: one message each way.  The
+    parent scores no row itself.  Workers exit when the run ends, however it
+    ends, and when the parent process dies.  A worker's exception is raised
+    here; a worker that died raises RuntimeError.  More than MAX_WORKERS is
+    refused first.
     """
     processes = _pool_size(workers, config.population_size)
     gate_set = build_gate_set(config.n, config.families)
     rng = np.random.default_rng(config.rng_seed)
     memo: dict[bytes, float] = {}
-    pool = None
+    pool = _Workers(processes, gate_set) if processes else None
     try:
-        if processes:
-            pool = ProcessPoolExecutor(
-                max_workers=processes, initializer=_pool_init,
-                initargs=(config.n, config.families))
         population = rng.integers(0, len(gate_set), size=(config.population_size, config.circuit_length))
         best_history, mean_history = [], []
         while True:
-            fits = _evaluate(population, gate_set, memo, pool, processes)
+            fits = _evaluate(population, gate_set, memo, pool)
             best_history.append(float(fits.max()))
             mean_history.append(float(fits.mean()))
             if len(best_history) > config.max_generations or _reached(best_history[-1], config.target_fitness):
@@ -447,7 +515,7 @@ def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:
             population = _breed(population, fits, config, len(gate_set), rng)
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.close()
     # GAConfig keeps at least one elite, and _breed copies the best (lowest
     # index among ties) to row 0 unchanged, so row 0 holds the best so far and
     # np.argmax of the last population is the first individual to score it.

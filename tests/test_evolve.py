@@ -2,8 +2,15 @@ import importlib
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from entangler import entanglement
 from entangler.catalog import ghz_circuit, named_circuit
-from entangler.cli import EX_OK, EX_USAGE, main as cli_main
+from entangler.cli import EX_ERROR, EX_OK, EX_USAGE, main as cli_main
 from entangler.entanglement import MEMO_ENTRY_OVERHEAD, MEMO_MAX_BYTES, _total_negativity, total_entanglement
 from entangler.evolve import (
     MAX_WORKERS,
@@ -366,34 +373,136 @@ def test_same_seed_gives_identical_results():
 
 def test_worker_pool_does_not_change_results():
     config = GAConfig(n=3, circuit_length=4, population_size=20, max_generations=4, rng_seed=5)
-    assert evolve(config, workers=1) == evolve(config, workers=2)
+    serial = evolve(config, workers=1)
+    for workers in (2, 3):
+        assert evolve(config, workers=workers) == serial
+        assert multiprocessing.active_children() == []
 
 
-class _SpyPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs the
-    initializer and every call in this process, so no process starts."""
+# A patched fitness reaches the workers only when they are forked from this
+# process; under spawn or forkserver they import the module afresh.
+forked_workers = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                    reason="workers inherit the patched fitness only when forked")
+
+
+def _refuse(genes, gate_set, *, memo=None):
+    raise ValueError(f"cannot score {len(genes)} genes")
+
+
+def _die(genes, gate_set, *, memo=None):
+    os._exit(3)
+
+
+@forked_workers
+def test_a_worker_exception_is_raised_in_the_caller(monkeypatch):
+    monkeypatch.setattr(evolve_module, "fitness", _refuse)
+    config = GAConfig(n=3, circuit_length=4, population_size=20, max_generations=4)
+    with pytest.raises(ValueError) as raised:
+        evolve(config, workers=2)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "cannot score 4 genes"
+    assert multiprocessing.active_children() == []
+
+
+@forked_workers
+def test_a_worker_that_dies_raises_runtime_error(monkeypatch, capsys):
+    monkeypatch.setattr(evolve_module, "fitness", _die)
+    config = GAConfig(n=3, circuit_length=4, population_size=20, max_generations=4)
+    with pytest.raises(RuntimeError, match=r"fitness worker \d+ exited with code 3$"):
+        evolve(config, workers=2)
+    assert multiprocessing.active_children() == []
+    status = cli_main(["evolve", "--qubits", "3", "--length", "3", "--pop", "8", "--gens", "1", "--workers", "2"])
+    assert status == EX_ERROR
+    assert re.search(r"fitness worker \d+ exited with code 3$", capsys.readouterr().err.strip())
+    assert multiprocessing.active_children() == []
+
+
+# Runs a long pooled GA and prints its workers' pids once they have started.
+_POOLED_RUN = """
+import multiprocessing, threading, time
+from entangler import GAConfig, evolve
+from entangler.evolve import _pool_size
+
+def report():
+    deadline = time.monotonic() + 60
+    while len(multiprocessing.active_children()) < _pool_size(2, 20) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+
+threading.Thread(target=report, daemon=True).start()
+evolve(GAConfig(n=3, circuit_length=4, population_size=20, max_generations=10**6), workers=2)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether the process exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_workers_exit_when_their_parent_is_killed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen([sys.executable, "-c", _POOLED_RUN], stdout=subprocess.PIPE, text=True,
+                          env=env) as parent:
+        try:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+        finally:
+            parent.kill()
+            parent.wait(timeout=60)
+    assert workers
+    deadline = time.monotonic() + 10
+    try:
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(map(_running, workers)), "a worker outlived its killed parent"
+    finally:
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+
+
+class _SpyWorkers:
+    """Stands in for evolve's _Workers: records the count and scores every
+    slice in this process, each with a memo of its own, so no process
+    starts."""
 
     sizes: list[int] = []
 
-    def __init__(self, max_workers, initializer, initargs):
-        _SpyPool.sizes.append(max_workers)
-        initializer(*initargs)
+    def __init__(self, count, gate_set):
+        _SpyWorkers.sizes.append(count)
+        self._gate_set = gate_set
+        self._memos = [{} for _ in range(count)]
 
-    def map(self, fn, rows, chunksize=1):
-        return map(fn, rows)
+    def __len__(self):
+        return len(self._memos)
 
-    def shutdown(self):
+    def map(self, slices):
+        return [evolve_module._fitnesses(rows, self._gate_set, memo) for rows, memo in zip(slices, self._memos)]
+
+    def close(self):
         pass
 
 
 @pytest.fixture
-def spy_pool(monkeypatch):
-    monkeypatch.setattr(_SpyPool, "sizes", [])
-    monkeypatch.setattr(evolve_module, "ProcessPoolExecutor", _SpyPool)
-    # The initializer sets the worker globals; put them back afterwards.
-    monkeypatch.setattr(evolve_module, "_POOL_GATE_SET", None)
-    monkeypatch.setattr(evolve_module, "_POOL_MEMO", None)
-    return _SpyPool.sizes
+def spy_workers(monkeypatch):
+    monkeypatch.setattr(_SpyWorkers, "sizes", [])
+    monkeypatch.setattr(evolve_module, "_Workers", _SpyWorkers)
+    return _SpyWorkers.sizes
+
+
+def _set_cpus(monkeypatch, cpus):
+    """An int or None: what os.cpu_count() returns on a platform without
+    affinity masks.  A set: the CPUs this process may run on, of 64."""
+    if isinstance(cpus, set):
+        monkeypatch.setattr(evolve_module.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(evolve_module.os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    else:
+        monkeypatch.setattr(evolve_module.os, "cpu_count", lambda: cpus)
+        monkeypatch.delattr(evolve_module.os, "sched_getaffinity", raising=False)
 
 
 @pytest.mark.parametrize("workers, population, cpus, started", [
@@ -405,26 +514,33 @@ def spy_pool(monkeypatch):
     (MAX_WORKERS, 20, 4096, 20),
     (1, 20, 8, None),
     (0, 20, 8, None),
+    # A process pinned to fewer CPUs than the host has (taskset -c 0) starts
+    # no more workers than it may run on, and still starts one.
+    (4, 20, {0}, 1),
+    (4, 20, {0, 2, 5}, 3),
+    (6, 2, {0, 1, 2, 3}, 2),
+    (MAX_WORKERS, 2000, set(range(40)), 40),
+    (1, 20, {0, 1}, None),
 ])
-def test_pool_size_is_bounded(spy_pool, monkeypatch, workers, population, cpus, started):
-    monkeypatch.setattr(evolve_module.os, "cpu_count", lambda: cpus)
+def test_pool_size_is_bounded(spy_workers, monkeypatch, workers, population, cpus, started):
+    _set_cpus(monkeypatch, cpus)
     config = GAConfig(n=3, circuit_length=3, population_size=population, max_generations=2, rng_seed=1)
     result = evolve(config, workers=workers)
-    assert spy_pool == ([] if started is None else [started])
+    assert spy_workers == ([] if started is None else [started])
     assert result == evolve(config, workers=1)
 
 
-def test_evolve_record_names_the_processes_started(spy_pool, monkeypatch, capsys):
-    monkeypatch.setattr(evolve_module.os, "cpu_count", lambda: 2)
+def test_evolve_record_names_the_processes_started(spy_workers, monkeypatch, capsys):
+    _set_cpus(monkeypatch, {0, 1})
     for workers, recorded in (("4", 2), ("1", 1)):
         status = cli_main(["evolve", "--qubits", "3", "--length", "3", "--pop", "8", "--gens", "1",
                            "--workers", workers])
         assert status == EX_OK
         assert json.loads(capsys.readouterr().out)["workers"] == recorded
-    assert spy_pool == [2]
+    assert spy_workers == [2]
 
 
-def test_too_many_workers_are_refused_before_any_pool(spy_pool, capsys):
+def test_too_many_workers_are_refused_before_any_pool(spy_workers, capsys):
     config = GAConfig(n=3, circuit_length=3, population_size=4, max_generations=1)
     with pytest.raises(ValueError, match="worker count must be at most 1024"):
         evolve(config, workers=MAX_WORKERS + 1)
@@ -434,11 +550,11 @@ def test_too_many_workers_are_refused_before_any_pool(spy_pool, capsys):
         status = cli_main([*command, "--qubits", "3", "--pop", "4", "--gens", "1", "--workers", "100000"])
         assert status == EX_USAGE
         assert "worker count must be at most 1024" in capsys.readouterr().err
-    assert spy_pool == []
+    assert spy_workers == []
 
 
-def test_worker_counts_are_exact_nonnegative_integers(spy_pool, monkeypatch, capsys):
-    monkeypatch.setattr(evolve_module.os, "cpu_count", lambda: 2)
+def test_worker_counts_are_exact_nonnegative_integers(spy_workers, monkeypatch, capsys):
+    _set_cpus(monkeypatch, {0, 1})
     config = GAConfig(n=3, circuit_length=3, population_size=4, max_generations=1)
     for workers in (2.5, 1.5, "2", 2.0):
         with pytest.raises(TypeError):
@@ -454,9 +570,9 @@ def test_worker_counts_are_exact_nonnegative_integers(spy_pool, monkeypatch, cap
         status = cli_main([*command, "--qubits", "3", "--pop", "4", "--gens", "1", "--workers", "-5"])
         assert status == EX_USAGE
         assert "worker count must be at least 0, got -5" in capsys.readouterr().err
-    assert spy_pool == []
+    assert spy_workers == []
     assert evolve(config, workers=np.int64(2)) == evolve(config, workers=1)
-    assert spy_pool == [2]
+    assert spy_workers == [2]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -489,13 +605,11 @@ def test_best_individual_is_the_first_to_score_the_best(workers, data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolve_module, "_evaluate", recorded)
-        mp.setattr(_SpyPool, "sizes", [])
-        mp.setattr(evolve_module, "ProcessPoolExecutor", _SpyPool)
-        mp.setattr(evolve_module, "_POOL_GATE_SET", None)
-        mp.setattr(evolve_module, "_POOL_MEMO", None)
-        mp.setattr(evolve_module.os, "cpu_count", lambda: 8)
+        mp.setattr(_SpyWorkers, "sizes", [])
+        mp.setattr(evolve_module, "_Workers", _SpyWorkers)
+        _set_cpus(mp, set(range(8)))
         result = evolve(config, workers=workers)
-        assert _SpyPool.sizes == ([] if workers == 1 else [min(workers, population_size)])
+        assert _SpyWorkers.sizes == ([] if workers == 1 else [min(workers, population_size)])
     assert len(records) == len(result.best_history)
     best_fitness, best_genes = -math.inf, None
     for population, fits in records:
