@@ -7,9 +7,11 @@ produces from |00...0>.
 
 Reproducibility contract: one master seed drives a single numpy Generator,
 and random draws happen in a fixed documented order (see ``evolve``).
-Breeding takes each generation's draws as raw PCG64 outputs and consumes
-them by numpy's own rules (see ``_RawDraws``), so a run is bit for bit the
-one the equivalent Generator calls would give.
+Breeding reads each generation's draws, in that order, from blocks of raw
+PCG64 outputs by numpy's own rules (see ``_Block``): one pass over the
+children places each draw, at the 32-bit half a bounded draw reads or the
+output a coin reads, and array operations then make the children.  A run is
+therefore bit for bit the one the equivalent Generator calls would give.
 Fitness is pure and consumes no randomness, so each generation may be split
 into one slice of rows per worker process (see ``_Workers``); the scores are
 merged back in population order before any further draw, which keeps runs
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -343,88 +346,79 @@ def _evaluate(population: np.ndarray, gate_set: GateSet, memo: dict[bytes, float
     return np.concatenate(workers.map(np.array_split(population, len(workers))))
 
 
-def _tournament_winner(candidates: list[int], fits: list[float]) -> int:
-    """The fittest of the drawn candidates; exact ties go to the lower index."""
-    winner = candidates[0]
-    for c in candidates[1:]:
-        if fits[c] > fits[winner] or (fits[c] == fits[winner] and c < winner):
-            winner = c
-    return winner
-
-
-# Most PCG64 outputs _breed draws at once, bar a child's L mutation coins.
-# A generation that needs more (large tournaments, Lemire rejections) draws
-# another chunk, so no population_size * tournament_size sizes an allocation.
+# Most PCG64 outputs _breed draws as one block.  A generation that needs more
+# draws further blocks, so no population_size * tournament_size sizes an
+# allocation; a block that holds no whole child (a long chromosome, a large
+# tournament) is doubled, so it stays under twice one child's need.
 _RAW_CHUNK = 4096
 
+_LOW = np.uint64(0xFFFFFFFF)
 
-class _RawDraws:
-    """A PCG64 Generator's randomness taken as raw 64-bit outputs, in plain
-    Python ints, the way its random() and integers() calls would take it.
+
+class _Block:
+    """A block of raw PCG64 outputs, to be read the way a Generator's random()
+    and integers() calls would read them.
 
     numpy's rules, mirrored here:
-    - a double is (x >> 11) * 2^-53 of a fresh output x, so it is below a
-      rate exactly when x is below ceil(rate * 2^53) << 11;
-    - a bounded integer below 2^32 is Lemire's multiply-shift on
-      next_uint32, with its rejection loop; a one-value range draws nothing;
-    - next_uint32 hands out an output's low half and keeps the high half in
-      the state's has_uint32/uinteger buffer for the next 32-bit draw, while
-      a double leaves that buffer alone.
-    Outputs come from random_raw in chunks (see _RAW_CHUNK).  close() rewinds
-    the generator past the outputs drawn but not read and sets the buffer, so
-    it stands where those calls would leave it.  A bounded draw costs about
-    0.23 us of Python: above a tournament size of about 30 (no workload uses
-    over 2), a generation breeds slower than sized Generator calls would.
+    - next_uint32 hands out the buffered half when there is one, else a fresh
+      output's low half, and keeps its high half in the state's
+      has_uint32/uinteger buffer;
+    - integers(0, bound) for 1 < bound <= 2^32 is Lemire's multiply-shift on
+      next_uint32: a half x gives (x * bound) >> 32, unless the low 32 bits of
+      x * bound fall below 2^32 mod bound, when it draws again; a one-value
+      range draws nothing;
+    - a double is (x >> 11) * 2^-53 of a fresh output x and leaves the buffer
+      alone, so a coin lands below a rate exactly when x >> 11 is below
+      ceil(rate * 2^53).
+
+    Half h of the block is the buffered half at h = 0, else output
+    (h - 1) // 2's low half (h odd) or high half (h even).  Each bound is a
+    lane: half h of lane l has the key l * span + h.  A lane of bound 1 is
+    read nowhere, and every value in it is 0.
     """
 
-    def __init__(self, rng: np.random.Generator, expected: int):
-        self._bits = rng.bit_generator
-        state = self._bits.state
-        self._has_half, self._half = bool(state["has_uint32"]), state["uinteger"]
-        self._chunk = max(1, min(expected, _RAW_CHUNK))
-        self._block: list[int] = []
-        self._pos = 0
+    def __init__(self, raw: np.ndarray, half: int, bounds: np.ndarray, coin_cuts: tuple[int, int]):
+        self.span = span = 2 * len(raw) + 1
+        self.bounds = bounds
+        self.halves = halves = np.empty(span, dtype=np.uint64)
+        halves[0] = half
+        halves[1:] = raw.astype("<u8", copy=False).view("<u4")
+        # The keys Lemire's rule rejects, ascending: lanes whose bound divides
+        # 2^32 reject none.
+        self.rejected = np.concatenate([np.empty(0, dtype=np.intp)] + [
+            lane * span + np.flatnonzero(((halves * bound) & _LOW) < (1 << 32) % bound)
+            for lane, bound in enumerate(bounds.tolist()) if (1 << 32) % bound])
+        self.rejected_list = self.rejected.tolist()
+        self.rejected_set = frozenset(self.rejected_list)
+        coins = raw >> np.uint64(11)
+        self.crosses = (coins < coin_cuts[0]).tobytes()
+        self.mutated = coins < coin_cuts[1]
 
-    def _refill(self, count: int) -> None:
-        """Keep the unread outputs and append at least count fresh ones."""
-        self._block = self._block[self._pos:] + self._bits.random_raw(max(count, self._chunk)).tolist()
-        self._pos = 0
+    def read(self, key: np.ndarray, lead: np.ndarray, count: np.ndarray) -> np.ndarray:
+        """The values of runs, run after run: run i reads the half keyed
+        lead[i] first unless that is -1, and then accepted halves from key[i]
+        on, count[i] values in all."""
+        ends = np.cumsum(count)
+        first = ends - count
+        led = lead >= 0
+        rejected = self.rejected
+        # Accepted keys are numbered in key order: draw t of a run reads the
+        # (t - led)-th accepted key from its key on, and accepted key number
+        # i is i plus the rejected keys r_j with r_j - j <= i.
+        number = np.repeat(key - np.searchsorted(rejected, key) - led - first, count) + np.arange(ends[-1])
+        picked = number + np.searchsorted(rejected - np.arange(len(rejected)), number, side="right")
+        picked[first[led]] = lead[led]
+        lane, half = np.divmod(picked, self.span)
+        return (self.halves[half] * self.bounds[lane]) >> np.uint64(32)
 
-    def raw(self, count: int) -> list[int]:
-        """The next count outputs."""
-        if self._pos + count > len(self._block):
-            self._refill(count)
-        self._pos += count
-        return self._block[self._pos - count:self._pos]
 
-    def integers(self, bound: int, count: int) -> list[int]:
-        """integers(0, bound, size=count) for 1 <= bound <= 2^32."""
-        if bound == 1:
-            return [0] * count
-        threshold = (1 << 32) % bound
-        has_half, half = self._has_half, self._half
-        out = []
-        while len(out) < count:
-            if has_half:
-                has_half, m = False, half * bound
-            else:
-                # One output, taken without a slice: breeding's innermost loop.
-                if self._pos == len(self._block):
-                    self._refill(1)
-                x = self._block[self._pos]
-                self._pos += 1
-                has_half, half, m = True, x >> 32, (x & 0xFFFFFFFF) * bound
-            if m & 0xFFFFFFFF >= threshold:
-                out.append(m >> 32)
-        self._has_half, self._half = has_half, half
-        return out
-
-    def close(self) -> None:
-        # PCG64 wraps a negative advance modulo 2^128; advance clears the buffer.
-        self._bits.advance(self._pos - len(self._block))
-        state = self._bits.state
-        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
-        self._bits.state = state
+def _skip(rejected: list[int], key: int, last: int) -> int:
+    """last moved one key on for each rejected key from key up to it: the
+    end of a run from key once Lemire's rule has drawn again."""
+    at = bisect_left(rejected, key)
+    while at < len(rejected) and rejected[at] <= last:
+        last, at = last + 1, at + 1
+    return last
 
 
 def _breed(population: np.ndarray, fits: np.ndarray, config: GAConfig,
@@ -436,44 +430,146 @@ def _breed(population: np.ndarray, fits: np.ndarray, config: GAConfig,
     These are the draws, in the order, of one integers(0, P, size=2k) call,
     a random() coin, an integers(1, L) point (which draws nothing at L = 2),
     a random(L) mask and an integers(0, table_size, size=hits) call.  They
-    are taken as raw outputs through _RawDraws, which needs the
-    PCG64-backed Generator that evolve always builds and a table_size of at
-    most 2^32.  _RawDraws mirrors numpy's double and Lemire rules; the
-    equality tests against tests/oracles.py's reference_breed, which makes
-    those Generator calls, fail rather than let results drift if numpy ever
-    changes them.
+    are taken from raw outputs by numpy's rules (see _Block), which needs
+    the PCG64-backed Generator that evolve always builds and a table_size of
+    at most 2^32.  The equality tests against tests/oracles.py's
+    reference_breed, which makes those Generator calls, fail rather than let
+    results drift if numpy ever changes its rules.
+
+    One pass over the children only places each draw in a block of raw
+    outputs.  A bounded draw is placed by the half it reads: the buffered
+    one, or else the next fresh half that Lemire's rule keeps; the pass
+    tracks the buffer.  A coin is placed by the output it reads.  Array
+    operations then give the values, the tournament winners (the candidate
+    ranked first by a stable sort of -fits: the fittest, and the lower index
+    among exact ties) and the children.  A child that does not fit in the
+    block starts the next one, with the unread outputs and the buffered half
+    carried over.  At the end the generator is rewound past the outputs
+    drawn but not read and its buffer set, so that it stands where those
+    calls leave it.
     """
     length = config.circuit_length
     k = config.tournament_size
     elites = config.elite_count
     rate = config.mutation_rate
-    rows = population.tolist()
-    # A stable sort keeps the lower index first among exact ties.
-    children = [rows[i] for i in np.argsort(-fits, kind="stable")[:elites].tolist()]
-    # Tournaments compare Python floats: the same values, without a numpy
-    # scalar per comparison.
-    fit_list = fits.tolist()
-    size = len(fit_list)
-    # A coin x lands below a rate when x is below its cut (_RawDraws).
-    cross_cut = math.ceil(config.crossover_rate * 2.0**53) << 11
-    mutate_cut = math.ceil(rate * 2.0**53) << 11
-    # Per child: k outputs for 2k tournament halves, a coin, at most one
-    # more for the point, L coins and about L * rate / 2 for the genes.
-    draws = _RawDraws(rng, math.ceil((size - elites) * (k + 2 + length * (1 + rate / 2))))
-    for _ in range(elites, size):
-        drawn = draws.integers(size, 2 * k)
-        first = rows[_tournament_winner(drawn[:k], fit_list)]
-        if length >= 2 and draws.raw(1)[0] < cross_cut:
-            point = 1 + draws.integers(length - 1, 1)[0]
-            child = first[:point] + rows[_tournament_winner(drawn[k:], fit_list)][point:]
-        else:
-            child = first[:]
-        hits = [locus for locus, x in enumerate(draws.raw(length)) if x < mutate_cut]
-        for locus, gene in zip(hits, draws.integers(table_size, len(hits))):
-            child[locus] = gene
-        children.append(child)
-    draws.close()
-    return np.array(children, dtype=population.dtype)
+    size = len(fits)
+    order = np.argsort(-fits, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(size)
+    children = np.empty_like(population)
+    children[:elites] = population[order[:elites]]
+    # Lanes 0, 1 and 2: tournament candidates, crossover points less one and
+    # replacement genes.
+    bounds = np.array([size, max(length - 1, 1), table_size], dtype=np.uint64)
+    coin_cuts = math.ceil(config.crossover_rate * 2.0**53), math.ceil(rate * 2.0**53)
+    pair = 2 * k
+    # Per child: k outputs for 2k tournament halves, a coin, at most one more
+    # for the point, L coins and about L * rate / 2 for the genes.
+    per_child = k + 2 + length * (1 + rate / 2)
+    loci = np.arange(length)
+    bits = rng.bit_generator
+    state = bits.state
+    # The cursor: the next fresh output, whether a half is buffered, and the
+    # last half buffered (uinteger keeps it once it is read).
+    pos, has, buf = 0, state["has_uint32"], 0
+    half = state["uinteger"]
+    raw = np.empty(0, dtype=np.uint64)
+    least = 1  # the outputs a block needs at least: doubled when no child fits
+    done = elites
+    while done < size:
+        wanted = max(least, min(_RAW_CHUNK, math.ceil(1.1 * (size - done) * per_child) + 16))
+        raw = np.concatenate((raw[pos:], bits.random_raw(max(wanted - (len(raw) - pos), 0))))
+        block = _Block(raw, half, bounds, coin_cuts)
+        span, outputs, crosses = block.span, len(raw), block.crosses
+        mutations, rejected, rejected_set = block.mutated.tobytes(), block.rejected_list, block.rejected_set
+        point_lane, gene_lane = span, 2 * span  # the first keys of lanes 1 and 2
+        # Per child: a run (key, lead, count) in each lane, then the output
+        # of its first mutation coin.  A run reads the buffered half first
+        # when its lane keeps it, then fresh halves from the cursor's next low
+        # half on, past those its lane rejects.  The three runs are written
+        # out, not called: this loop is breeding's hot path, and a call per
+        # run made a generation of 100 breed about a sixth slower.
+        placed = []
+        pos = buf = 0
+        for _ in range(size - done):
+            p, h, b = pos, has, buf
+            t_lead = b if h and b not in rejected_set else -1
+            t_key = 2 * p + 1
+            last = t_key + pair - 1 - (t_lead >= 0)
+            if rejected:
+                last = _skip(rejected, t_key, last)
+            if last >= span:
+                break
+            # A low half leaves its output's high half buffered; a high half
+            # is read from the buffer.
+            h = last & 1
+            p, b = (last + 1) >> 1, last + h
+            crossed, p_key, p_lead = 0, point_lane + 1, -1
+            if length >= 2:
+                if p == outputs:
+                    break
+                crossed = crosses[p]
+                p += 1
+                if crossed and length > 2:
+                    if h and point_lane + b not in rejected_set:
+                        p_lead, h = point_lane + b, 0
+                    else:
+                        p_key = last = point_lane + 2 * p + 1
+                        if rejected:
+                            last = _skip(rejected, p_key, last)
+                        if last >= point_lane + span:
+                            break
+                        last -= point_lane
+                        h = last & 1
+                        p, b = (last + 1) >> 1, last + h
+            if p + length > outputs:
+                break
+            hits = mutations.count(1, p, p + length)
+            mutate_at = p
+            p += length
+            g_key, g_lead = gene_lane + 1, -1
+            if hits and table_size > 1:
+                fresh = hits
+                if h and gene_lane + b not in rejected_set:
+                    g_lead, fresh, h = gene_lane + b, hits - 1, 0
+                if fresh:
+                    g_key = gene_lane + 2 * p + 1
+                    last = g_key + fresh - 1
+                    if rejected:
+                        last = _skip(rejected, g_key, last)
+                    if last >= gene_lane + span:
+                        break
+                    last -= gene_lane
+                    h = last & 1
+                    p, b = (last + 1) >> 1, last + h
+            placed += t_key, t_lead, pair, p_key, p_lead, crossed, g_key, g_lead, hits, mutate_at
+            pos, has, buf = p, h, b
+        half = int(block.halves[buf])
+        if not placed:
+            least = 2 * outputs
+            continue
+        least = 1
+        record = np.fromiter(placed, dtype=np.int64, count=len(placed)).reshape(-1, 10)
+        drawn = len(record)
+        # Lane by lane: the keys, leads and counts of the runs.
+        values = block.read(*record[:, :9].reshape(drawn, 3, 3).transpose(2, 1, 0).reshape(3, -1))
+        crossed = record[:, 5] == 1
+        tried = drawn * pair
+        pointed = tried + int(crossed.sum())
+        winners = order[rank[values[:tried]].reshape(drawn, 2, k).min(axis=2)]
+        parents = population[winners]
+        cut = np.full(drawn, length)
+        cut[crossed] = 1 + values[tried:pointed]
+        rows = np.where(loci < cut[:, None], parents[:, 0], parents[:, 1])
+        rows[block.mutated[record[:, 9, None] + loci]] = values[pointed:]
+        children[done:done + drawn] = rows
+        done += drawn
+    # PCG64 wraps a negative advance modulo 2^128; advance clears the buffer.
+    bits.advance(pos - len(raw))
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = has, half
+    bits.state = state
+    return children
 
 
 def evolve(config: GAConfig, workers: int = 1) -> EvolutionResult:

@@ -24,9 +24,7 @@ from entangler.evolve import (
     MAX_WORKERS,
     GAConfig,
     _RAW_CHUNK,
-    _RawDraws,
     _breed,
-    _tournament_winner,
     build_gate_set,
     decode,
     encode,
@@ -725,28 +723,63 @@ def test_a_generation_past_one_chunk_breeds_as_the_numpy_calls_would(
         population = children
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 5, 16])
+def test_blocks_of_any_size_breed_as_the_numpy_calls_would(monkeypatch, chunk):
+    # Blocks of a few outputs end inside most children, so most children are
+    # placed again in a block that carries over the unread outputs and the
+    # buffered half.
+    monkeypatch.setattr(evolve_module, "_RAW_CHUNK", chunk)
+    for seed in range(12):
+        draw = np.random.default_rng([chunk, seed])
+        population_size, length = int(draw.integers(2, 30)), int(draw.integers(1, 9))
+        config = GAConfig(n=3, circuit_length=length, population_size=population_size,
+                          tournament_size=int(draw.integers(1, population_size + 1)),
+                          per_gene_mutation_rate=float(draw.choice([0.2, 0.6, 1.0])))
+        table_size = int(draw.choice([15, REJECTING_RANGE]))
+        population = draw.integers(0, table_size, size=(population_size, length))
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:
+            rng.integers(0, 3), reference_rng.integers(0, 3)
+        for _ in range(3):
+            fits = draw.integers(0, 3, size=population_size) / 2.0
+            children = _breed(population, fits, config, table_size, rng)
+            assert np.array_equal(children, reference_breed(population, fits, config, table_size, reference_rng))
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+            population = children
+
+
 @given(bound=st.sampled_from([1, 2, 3, 99, REJECTING_RANGE, 2**31 + 1, 2**32 - 1, 2**32]),
        count=st.integers(0, 600), buffered=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_raw_bounded_draws_equal_generator_integers(bound, count, buffered, seed):
+    # The one bred child mutates every locus, so its genes are count draws
+    # below bound, taken after two one-candidate tournaments, a crossover
+    # coin that never lands and the mutation coins.  At count 0 it mutates
+    # none and draws no gene.
+    length = max(count, 1)
+    config = GAConfig(n=3, circuit_length=length, population_size=2, tournament_size=1,
+                      crossover_rate=0.0, per_gene_mutation_rate=1.0 if count else 0.0)
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if buffered:
         rng.integers(0, 3), reference_rng.integers(0, 3)
-    draws = _RawDraws(rng, 7)
-    drawn = draws.integers(bound, count)
-    draws.close()
-    assert drawn == reference_rng.integers(0, bound, size=count).tolist()
+    children = _breed(np.zeros((2, length), dtype=np.int64), np.array([1.0, 0.0]), config, bound, rng)
+    reference_rng.integers(0, 2, size=2)
+    if length >= 2:
+        reference_rng.random()
+    reference_rng.random(length)
+    assert children[1, :count].tolist() == reference_rng.integers(0, bound, size=count).tolist()
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_one_generation_allocates_a_bounded_block_whatever_the_tournament_size():
     # 100 bred children draw tournaments of 1000: about 10^5 outputs, which
-    # drawn as one block would peak above 5 MB as Python ints.  Capped chunks
-    # keep the peak near 0.65 MB.  Elites keep the traced run near a second.
+    # drawn as one block would peak near 13 MB of arrays.  Blocks of at most
+    # _RAW_CHUNK outputs keep the peak near 0.7 MB.  Elites keep the numpy
+    # scalar reference near a second.
     config = GAConfig(n=3, circuit_length=5, population_size=1000, tournament_size=1000, elite_count=900)
     population = np.random.default_rng(0).integers(0, 15, size=(1000, 5))
     fits = np.random.default_rng(1).integers(0, 4, size=1000) / 2.0
-    rng = np.random.default_rng(2)
+    rng, reference_rng = np.random.default_rng(2), np.random.default_rng(2)
     tracemalloc.start()
     try:
         children = _breed(population, fits, config, 15, rng)
@@ -755,13 +788,97 @@ def test_one_generation_allocates_a_bounded_block_whatever_the_tournament_size()
         tracemalloc.stop()
     assert children.shape == population.shape
     assert peak < 1 << 20
+    assert np.array_equal(children, reference_breed(population, fits, config, 15, reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+# Tournament and point draws have bounds that Lemire's rule almost never
+# rejects from: 2^32 mod 1965 = 1951, so it rejects a half below 1965 once in
+# 2.2 million.  Output 257,607 of seed 1 has such a low half and output
+# 955,375 such a high half; a buffered half of 0 is rejected below any bound
+# that does not divide 2^32.
+SEED_1_REJECTED_LOW, SEED_1_REJECTED_HIGH = 257_607, 955_375
+
+
+def _rejected_below_1965(output, high):
+    bits = np.random.default_rng(1).bit_generator
+    bits.advance(output)
+    x = int(bits.random_raw())
+    half = x >> 32 if high else x & 0xFFFFFFFF
+    return (half * 1965) % 2**32 < 2**32 % 1965
+
+
+@pytest.mark.parametrize("lane, start, buffered", [
+    ("tournament", SEED_1_REJECTED_LOW, None),  # the first fresh half
+    ("tournament", 0, 0),                       # the buffered half
+    ("point", SEED_1_REJECTED_LOW - 2, None),   # the fresh half after a coin
+    ("point", SEED_1_REJECTED_HIGH, 5),         # the half the tournament left buffered
+])
+def test_tournament_and_point_draws_skip_the_halves_lemire_rejects(lane, start, buffered):
+    # One bred child.  Its tournaments (one candidate each) read two halves
+    # from output start on, after the buffered half when there is one; its
+    # crossover coin is the next output and its point the half after that.
+    if lane == "tournament":
+        config = GAConfig(n=3, circuit_length=2, population_size=1965, tournament_size=1, elite_count=1964)
+        assert buffered == 0 or _rejected_below_1965(start, high=False)
+    else:
+        config = GAConfig(n=3, circuit_length=1966, population_size=2, tournament_size=1,
+                          crossover_rate=1.0, per_gene_mutation_rate=0.0)
+        assert _rejected_below_1965(start, high=True) if buffered else _rejected_below_1965(start + 2, high=False)
+    shape = (config.population_size, config.circuit_length)
+    population = np.random.default_rng(2).integers(0, 15, size=shape)
+    fits = np.random.default_rng(3).integers(0, 4, size=config.population_size) / 2.0
+    rng, reference_rng = np.random.default_rng(1), np.random.default_rng(1)
+    for bits in (rng.bit_generator, reference_rng.bit_generator):
+        bits.advance(start)
+        if buffered is not None:
+            state = bits.state
+            state["has_uint32"], state["uinteger"] = 1, buffered
+            bits.state = state
+    children = _breed(population, fits, config, 15, rng)
+    assert np.array_equal(children, reference_breed(population, fits, config, 15, reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_large_tournaments_breed_as_the_numpy_calls_would(data):
+    # Tournaments of up to the whole population, where a child draws
+    # hundreds of candidates, over gene ranges that reject about a quarter
+    # of their draws or none.
+    population_size = data.draw(st.integers(80, 300))
+    length = data.draw(st.integers(1, 8))
+    config = GAConfig(n=3, circuit_length=length, population_size=population_size,
+                      tournament_size=data.draw(st.integers(1, population_size)),
+                      per_gene_mutation_rate=data.draw(st.sampled_from([None, 0.5])))
+    table_size = data.draw(st.sampled_from([REJECTING_RANGE, 2**32]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    population = np.random.default_rng(seed + 1).integers(0, table_size, size=(population_size, length))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    # One 32-bit draw leaves the high half of an output buffered.
+    rng.integers(0, 3), reference_rng.integers(0, 3)
+    for generation in range(3):
+        fits = np.random.default_rng(seed + 2 + generation).integers(0, 4, size=population_size) / 2.0
+        children = _breed(population, fits, config, table_size, rng)
+        assert np.array_equal(children, reference_breed(population, fits, config, table_size, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        population = children
 
 
 def test_tournament_ties_go_to_the_lower_index():
-    fits = [1.0, 1.0, 1.0, 1.0]
-    for seed in range(20):
-        drawn = np.random.default_rng(seed).integers(0, 4, size=4).tolist()
-        assert _tournament_winner(drawn, fits) == min(drawn)
+    # Without crossover or mutation each bred child is its first
+    # tournament's winner, and with all fitnesses equal (signed zeros
+    # included) that is the lowest index drawn.
+    config = GAConfig(n=3, circuit_length=2, population_size=4, tournament_size=4,
+                      crossover_rate=0.0, per_gene_mutation_rate=0.0)
+    population = np.arange(8).reshape(4, 2)
+    for seed, fits in itertools.product(range(20), ([1.0, 1.0, 1.0, 1.0], [0.0, -0.0, 0.0, -0.0])):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        children = _breed(population, np.array(fits), config, 8, rng)
+        for child in children[1:]:
+            drawn = reference_rng.integers(0, 4, size=8)
+            reference_rng.random(), reference_rng.random(2)
+            assert child.tolist() == population[drawn[:4].min()].tolist()
 
 
 # --- length sweep ------------------------------------------------------------------
