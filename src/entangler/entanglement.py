@@ -17,7 +17,10 @@ Two numerical paths compute a cut's contribution:
   (``_cut_layouts``): the gather matrices of all cuts, about 4^(n+1) bytes,
   grouped by member count m.  Scoring a state makes one stacked SVD call per
   group, n - 1 calls in all, whose temporary holds C(n-1, m-1) * 2^n complex
-  amplitudes (at most 462 * 4096 of them, 29 MiB, at n = 12).
+  amplitudes (at most 462 * 4096 of them, 29 MiB, at n = 12).  The calls go
+  straight to numpy's compiled SVD gufunc, the one np.linalg.svd(...,
+  compute_uv=False) ends in, and share one error state per scored state
+  (``_SVD_ERRSTATE``) instead of entering one each.
 * ``eigen``: builds rho = |psi><psi|, partially transposes the cut's qubit
   indices and sums the negative eigenvalues.  Kept as the independent
   cross-check (CLI ``--validate``).
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, log2
 
 import numpy as np
@@ -73,6 +76,27 @@ MEMO_ENTRY_OVERHEAD = 160
 # amplitudes, 512 KiB at n = 10, where the 126 five-member cuts of n = 10
 # would take 2 MiB in one stack.
 PURITY_CHUNK = 32
+
+
+def _raise_svd_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+# np.linalg.svd's own error state, entered once per scored state around every
+# _stack_negativities call: LAPACK's failure to converge raises.  A dict, since
+# numpy refuses to enter one np.errstate object twice.
+_SVD_ERRSTATE = dict(call=_raise_svd_nonconvergence, invalid="call",
+                     over="ignore", divide="ignore", under="ignore")
+
+# Singular values of a stack of complex matrices, by the compiled gufunc that
+# np.linalg.svd(..., compute_uv=False) calls, without its per-call wrapper:
+# the same input, the same bits.  numpy 1.x splits that gufunc by orientation
+# and has no _umath_linalg.svd; there the public function gives the same bits.
+try:
+    from numpy.linalg._umath_linalg import svd as _svd_gufunc
+    _singular_values = partial(_svd_gufunc, signature="D->d")
+except ImportError:
+    _singular_values = partial(np.linalg.svd, compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -183,15 +207,22 @@ def _cut_layouts(n: int) -> tuple[tuple[int, tuple[int, ...], np.ndarray], ...]:
 def _stack_negativities(amps: np.ndarray, gathers: np.ndarray) -> list[float]:
     """Contribution of each cut in a stack of gather matrices, in stack order.
 
-    One SVD call for the whole stack.  The square is taken on Python floats:
-    that is libm pow, as on a float64 scalar, where numpy's array power may
-    round the last bit differently.
+    One SVD call for the whole stack; callers enter _SVD_ERRSTATE around it.
+    The square is taken on Python floats: that is libm pow, as on a float64
+    scalar, where numpy's array power may round the last bit differently.
+    A NaN sum, which LAPACK returns without failing for an infinite entry,
+    raises LinAlgError rather than clamping to 0.0.
     """
-    sums = np.linalg.svd(amps[gathers], compute_uv=False).sum(axis=-1)
+    sums = _singular_values(amps[gathers]).sum(axis=-1)
     values = []
     for s in sums.tolist():
         value = (s ** 2 - 1.0) / 2.0
-        values.append(value if value > 0.0 else 0.0)
+        if value > 0.0:
+            values.append(value)
+        elif value != value:
+            raise np.linalg.LinAlgError("singular values of a cut matrix are NaN")
+        else:
+            values.append(0.0)
     return values
 
 
@@ -234,15 +265,16 @@ def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = 
     """
     score = _stack_stabilizer_negativities if stabilizer else _stack_negativities
     values = [0.0] * ((1 << (n - 1)) - 1)
-    for _m, masks, gathers in _cut_layouts(n):
-        if apart is not None:
-            a, b = apart
-            picked = [i for i, mask in enumerate(masks) if (mask >> a ^ mask >> b) & 1]
-            if not picked:
-                continue
-            masks, gathers = [masks[i] for i in picked], gathers[picked]
-        for mask, value in zip(masks, score(amps, gathers)):
-            values[mask >> 1] = value
+    with np.errstate(**_SVD_ERRSTATE):
+        for _m, masks, gathers in _cut_layouts(n):
+            if apart is not None:
+                a, b = apart
+                picked = [i for i, mask in enumerate(masks) if (mask >> a ^ mask >> b) & 1]
+                if not picked:
+                    continue
+                masks, gathers = [masks[i] for i in picked], gathers[picked]
+            for mask, value in zip(masks, score(amps, gathers)):
+                values[mask >> 1] = value
     return values
 
 
@@ -271,7 +303,8 @@ def cut_negativity(state: StateVector, cut: Cut, method: str = "schmidt") -> flo
     if method == "schmidt":
         _m, masks, gathers = _cut_layouts(state.n)[cut.mask.bit_count() - 1]
         i = masks.index(cut.mask)
-        return _stack_negativities(state.amplitudes, gathers[i:i + 1])[0]
+        with np.errstate(**_SVD_ERRSTATE):
+            return _stack_negativities(state.amplitudes, gathers[i:i + 1])[0]
     if method == "eigen":
         spectrum = partial_transpose_spectrum(state, cut)
         return float(-spectrum[spectrum < NEGATIVE_EIGENVALUE_TOL].sum())

@@ -218,12 +218,12 @@ def _settle_norm(amps: np.ndarray, where: str) -> np.ndarray:
 
     A norm that has drifted from 1 by at most RENORM_TOL is left alone and
     amps itself returned; up to NORM_ERROR_TOL, amps divided by its norm is
-    returned, a new array; beyond that RuntimeError names the drift and
-    where it was found.
+    returned, a new array; beyond that, or when the norm is NaN,
+    RuntimeError names the drift and where it was found.
     """
     norm_sq = float(np.vdot(amps, amps).real)
     drift = abs(norm_sq - 1.0)
-    if drift > NORM_ERROR_TOL:
+    if not drift <= NORM_ERROR_TOL:  # a NaN drift, from a NaN or infinite amplitude, fails too
         raise RuntimeError(f"norm drifted by {drift:.3e} {where}; gate application is broken")
     if drift > RENORM_TOL:
         return amps / np.sqrt(norm_sq)

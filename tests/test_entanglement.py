@@ -1,3 +1,4 @@
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -7,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from entangler import entanglement as entanglement_module
 from entangler.catalog import ghz_circuit, ghz_state, named_circuit, named_state
 from entangler.entanglement import (
+    _SVD_ERRSTATE,
     Cut,
     _cut_layouts,
     _cut_negativities,
+    _singular_values,
     _stack_negativities,
     _stack_stabilizer_negativities,
     _total_negativity,
@@ -282,6 +285,66 @@ def test_stacked_scores_equal_per_cut_svds_bit_for_bit(seed, n, split):
     for value in reference:
         total += value
     assert _total_negativity(amps, n) == total
+
+
+@pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
+def test_direct_svd_gives_the_bits_of_numpy_svd(n):
+    # Stored and transposed gathers: the gufunc takes either orientation as np.linalg.svd hands it on.
+    amps = random_state(n, np.random.default_rng(n)).amplitudes
+    for _m, _masks, gathers in _cut_layouts(n):
+        for g in (gathers, gathers.transpose(0, 2, 1)):
+            reference = np.linalg.svd(amps[g], compute_uv=False).sum(axis=-1)
+            with np.errstate(**_SVD_ERRSTATE):
+                sums = _singular_values(amps[g]).sum(axis=-1)
+            assert sums.dtype == reference.dtype
+            assert sums.tobytes() == reference.tobytes()
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="numpy 1.x has no _umath_linalg.svd")
+def test_scoring_calls_the_svd_gufunc_itself():
+    from numpy.linalg import _umath_linalg
+
+    assert _singular_values.func is _umath_linalg.svd
+    assert _singular_values.args == ()
+    assert _singular_values.keywords == {"signature": "D->d"}
+
+
+def test_a_nan_stack_raises_instead_of_scoring_zero():
+    # Inside the error state LAPACK's failure to converge raises; an infinite
+    # entry converges to NaN singular values, which the clamp must not read as 0.0.
+    nan_amps = np.full(16, np.nan + 0j)
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        _cut_negativities(nan_amps, 4)
+    inf_amps = np.full(16, np.inf + 0j)
+    with pytest.raises(np.linalg.LinAlgError, match="NaN"):
+        _cut_negativities(inf_amps, 4)
+    with pytest.raises(np.linalg.LinAlgError, match="NaN"):
+        _stack_negativities(inf_amps, _cut_layouts(4)[1][2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_total_negativity_refuses_nan_and_infinite_amplitudes(bad):
+    amps = random_state(4, np.random.default_rng(4)).amplitudes.copy()
+    amps[6] = bad
+    with pytest.raises(RuntimeError, match="norm drifted by nan in a scored state"):
+        _total_negativity(amps, 4)
+    with pytest.raises(RuntimeError, match="norm drifted by nan in a scored state"):
+        _total_negativity(np.full(16, bad + 0j), 4)
+
+
+def test_scoring_a_state_emits_no_floating_point_warning():
+    # Separable, stabilizer and random states: zero singular values, exact
+    # ranks and full spectra all score without a RuntimeWarning.
+    states = [zero_state(5), named_state("psi5a"), random_state(5, np.random.default_rng(5))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in states:
+            total_entanglement(state)
+            _total_negativity(state.amplitudes, 5)
+            for cut in enumerate_cuts(5):
+                cut_negativity(state, cut)
+        entanglement_trace(named_circuit("circuit_5a"))
+        entanglement_trace(parse_circuit("H(0); T(0); CNOT(0,1); H(2); CNOT(1,2)"))
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))

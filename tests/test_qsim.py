@@ -21,6 +21,7 @@ from entangler.qsim import (
     _apply_gate_inplace,
     _cnot_order,
     _flip_index,
+    _settle_norm,
     allclose_up_to_phase,
     apply_gate,
     format_circuit,
@@ -227,6 +228,16 @@ def test_run_circuit_refuses_a_norm_that_drifts_past_the_error_bound(monkeypatch
         run_circuit(Circuit(2, (GateSpec("H", (0,)),)), zero_state(2))
     with pytest.raises(RuntimeError, match="norm drifted by .* after 1 gates"):
         apply_gate(zero_state(2), GateSpec("H", (0,)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_settle_norm_refuses_a_nan_norm(bad):
+    # One NaN or infinite amplitude makes the norm NaN, whose drift compares
+    # False with any bound; it is refused, not passed on as it stands.
+    amps = zero_state(3).amplitudes.copy()
+    amps[5] = bad
+    with pytest.raises(RuntimeError, match="norm drifted by nan here"):
+        _settle_norm(amps, "here")
 
 
 def test_simulation_refuses_more_qubits_than_the_cap():
