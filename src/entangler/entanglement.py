@@ -54,7 +54,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import comb, log2
+from math import comb, inf, log2
 
 import numpy as np
 
@@ -233,8 +233,9 @@ def _stack_stabilizer_negativities(amps: np.ndarray, gathers: np.ndarray) -> lis
     (Fattal et al., quant-ph/0406168), so the cut contributes exactly
     (2^k - 1)/2 and its purity ||M M^dag||_F^2 is 2^-k.  k is -log2 of the
     purity, rounded; the Gram matrix is taken on the smaller side, at most
-    PURITY_CHUNK matrices at a time.  Raises RuntimeError when the purity
-    is more than 1e-6 (relative) from 2^-k: the state is not a stabilizer state.
+    PURITY_CHUNK matrices at a time.  Raises RuntimeError when a purity is
+    not finite and positive (a state of non-finite or zero amplitudes), or
+    more than 1e-6 (relative) from 2^-k: the state is not a stabilizer state.
     """
     values = []
     for start in range(0, len(gathers), PURITY_CHUNK):
@@ -244,6 +245,8 @@ def _stack_stabilizer_negativities(amps: np.ndarray, gathers: np.ndarray) -> lis
         gram = np.matmul(mats, mats.conj().swapaxes(1, 2))
         # On Python floats: a chain of ufunc calls on a few values costs more than the matmul.
         for purity in np.square(gram.view(np.float64)).sum(axis=(1, 2)).tolist():
+            if not 0.0 < purity < inf:
+                raise RuntimeError(f"cut purity {purity!r} is not finite and positive")
             rank = 2.0 ** round(-log2(purity))
             if not abs(purity * rank - 1.0) <= 1e-6:
                 raise RuntimeError(f"cut purity {purity!r} is not a power of 1/2: not a stabilizer state")
@@ -261,11 +264,12 @@ def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = 
     gathers; LAPACK factors each matrix of a stack on its own, so a cut
     scores the same bits in a partial stack as in the full one.
     stabilizer=True, for a stabilizer state only, scores each stack exactly
-    from its purities instead (_stack_stabilizer_negativities).
+    from its purities instead (_stack_stabilizer_negativities), with
+    floating-point errors ignored: no SVD runs, and each purity is checked.
     """
     score = _stack_stabilizer_negativities if stabilizer else _stack_negativities
     values = [0.0] * ((1 << (n - 1)) - 1)
-    with np.errstate(**_SVD_ERRSTATE):
+    with np.errstate(all="ignore") if stabilizer else np.errstate(**_SVD_ERRSTATE):
         for _m, masks, gathers in _cut_layouts(n):
             if apart is not None:
                 a, b = apart

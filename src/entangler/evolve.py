@@ -8,9 +8,11 @@ produces from |00...0>.
 Reproducibility contract: one master seed drives a single numpy Generator,
 and random draws happen in a fixed documented order (see ``evolve``).
 Breeding reads each generation's draws, in that order, from blocks of raw
-PCG64 outputs by numpy's own rules (see ``_Block``): one pass over the
+PCG64 outputs by numpy's own rules (see ``_breed``): one pass over the
 children places each draw, at the 32-bit half a bounded draw reads or the
-output a coin reads, and array operations then make the children.  A run is
+output a coin reads, and array operations then make the children.  A child
+whose draws Lemire's rule would redraw, or that needs more than a block, is
+bred by those Generator calls themselves (``_numpy_child``).  A run is
 therefore bit for bit the one the equivalent Generator calls would give.
 Fitness is pure and consumes no randomness, so each generation may be split
 into one slice of rows per worker process (see ``_Workers``); the scores are
@@ -27,7 +29,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
@@ -123,7 +124,10 @@ def decode(genes: Chromosome, gate_set: GateSet) -> Circuit:
 
 
 def encode(circuit: Circuit, gate_set: GateSet) -> list[int]:
-    """Inverse of decode for circuits drawn from the same table."""
+    """Inverse of decode for circuits drawn from the same table: refuses a
+    circuit on another qubit count, or a gate the table does not hold."""
+    if circuit.n != gate_set.n:
+        raise ValueError(f"circuit on {circuit.n} qubits, gate table on {gate_set.n}")
     index = {gate: i for i, gate in enumerate(gate_set.table)}
     genes = []
     for gate in circuit.gates:
@@ -348,77 +352,24 @@ def _evaluate(population: np.ndarray, gate_set: GateSet, memo: dict[bytes, float
 
 # Most PCG64 outputs _breed draws as one block.  A generation that needs more
 # draws further blocks, so no population_size * tournament_size sizes an
-# allocation; a block that holds no whole child (a long chromosome, a large
-# tournament) is doubled, so it stays under twice one child's need.
+# allocation; a child that needs more than one block is bred by _numpy_child.
 _RAW_CHUNK = 4096
 
-_LOW = np.uint64(0xFFFFFFFF)
 
-
-class _Block:
-    """A block of raw PCG64 outputs, to be read the way a Generator's random()
-    and integers() calls would read them.
-
-    numpy's rules, mirrored here:
-    - next_uint32 hands out the buffered half when there is one, else a fresh
-      output's low half, and keeps its high half in the state's
-      has_uint32/uinteger buffer;
-    - integers(0, bound) for 1 < bound <= 2^32 is Lemire's multiply-shift on
-      next_uint32: a half x gives (x * bound) >> 32, unless the low 32 bits of
-      x * bound fall below 2^32 mod bound, when it draws again; a one-value
-      range draws nothing;
-    - a double is (x >> 11) * 2^-53 of a fresh output x and leaves the buffer
-      alone, so a coin lands below a rate exactly when x >> 11 is below
-      ceil(rate * 2^53).
-
-    Half h of the block is the buffered half at h = 0, else output
-    (h - 1) // 2's low half (h odd) or high half (h even).  Each bound is a
-    lane: half h of lane l has the key l * span + h.  A lane of bound 1 is
-    read nowhere, and every value in it is 0.
-    """
-
-    def __init__(self, raw: np.ndarray, half: int, bounds: np.ndarray, coin_cuts: tuple[int, int]):
-        self.span = span = 2 * len(raw) + 1
-        self.bounds = bounds
-        self.halves = halves = np.empty(span, dtype=np.uint64)
-        halves[0] = half
-        halves[1:] = raw.astype("<u8", copy=False).view("<u4")
-        # The keys Lemire's rule rejects, ascending: lanes whose bound divides
-        # 2^32 reject none.
-        self.rejected = np.concatenate([np.empty(0, dtype=np.intp)] + [
-            lane * span + np.flatnonzero(((halves * bound) & _LOW) < (1 << 32) % bound)
-            for lane, bound in enumerate(bounds.tolist()) if (1 << 32) % bound])
-        self.rejected_list = self.rejected.tolist()
-        self.rejected_set = frozenset(self.rejected_list)
-        coins = raw >> np.uint64(11)
-        self.crosses = (coins < coin_cuts[0]).tobytes()
-        self.mutated = coins < coin_cuts[1]
-
-    def read(self, key: np.ndarray, lead: np.ndarray, count: np.ndarray) -> np.ndarray:
-        """The values of runs, run after run: run i reads the half keyed
-        lead[i] first unless that is -1, and then accepted halves from key[i]
-        on, count[i] values in all."""
-        ends = np.cumsum(count)
-        first = ends - count
-        led = lead >= 0
-        rejected = self.rejected
-        # Accepted keys are numbered in key order: draw t of a run reads the
-        # (t - led)-th accepted key from its key on, and accepted key number
-        # i is i plus the rejected keys r_j with r_j - j <= i.
-        number = np.repeat(key - np.searchsorted(rejected, key) - led - first, count) + np.arange(ends[-1])
-        picked = number + np.searchsorted(rejected - np.arange(len(rejected)), number, side="right")
-        picked[first[led]] = lead[led]
-        lane, half = np.divmod(picked, self.span)
-        return (self.halves[half] * self.bounds[lane]) >> np.uint64(32)
-
-
-def _skip(rejected: list[int], key: int, last: int) -> int:
-    """last moved one key on for each rejected key from key up to it: the
-    end of a run from key once Lemire's rule has drawn again."""
-    at = bisect_left(rejected, key)
-    while at < len(rejected) and rejected[at] <= last:
-        last, at = last + 1, at + 1
-    return last
+def _numpy_child(population: np.ndarray, order: np.ndarray, rank: np.ndarray, config: GAConfig,
+                 table_size: int, rng: np.random.Generator) -> np.ndarray:
+    """One child bred by the Generator calls _breed documents, each
+    tournament's candidates drawn at most _RAW_CHUNK at a time."""
+    k, length, size = config.tournament_size, config.circuit_length, len(rank)
+    first, second = [order[min(int(rank[rng.integers(0, size, min(_RAW_CHUNK, k - at))].min())
+                               for at in range(0, k, _RAW_CHUNK))] for _ in range(2)]
+    child = population[first].copy()
+    if length >= 2 and rng.random() < config.crossover_rate:
+        point = int(rng.integers(1, length))
+        child[point:] = population[second, point:]
+    mask = rng.random(length) < config.mutation_rate
+    child[mask] = rng.integers(0, table_size, int(mask.sum()))
+    return child
 
 
 def _breed(population: np.ndarray, fits: np.ndarray, config: GAConfig,
@@ -429,24 +380,24 @@ def _breed(population: np.ndarray, fits: np.ndarray, config: GAConfig,
 
     These are the draws, in the order, of one integers(0, P, size=2k) call,
     a random() coin, an integers(1, L) point (which draws nothing at L = 2),
-    a random(L) mask and an integers(0, table_size, size=hits) call.  They
-    are taken from raw outputs by numpy's rules (see _Block), which needs
-    the PCG64-backed Generator that evolve always builds and a table_size of
-    at most 2^32.  The equality tests against tests/oracles.py's
-    reference_breed, which makes those Generator calls, fail rather than let
-    results drift if numpy ever changes its rules.
-
-    One pass over the children only places each draw in a block of raw
-    outputs.  A bounded draw is placed by the half it reads: the buffered
-    one, or else the next fresh half that Lemire's rule keeps; the pass
-    tracks the buffer.  A coin is placed by the output it reads.  Array
-    operations then give the values, the tournament winners (the candidate
-    ranked first by a stable sort of -fits: the fittest, and the lower index
-    among exact ties) and the children.  A child that does not fit in the
-    block starts the next one, with the unread outputs and the buffered half
-    carried over.  At the end the generator is rewound past the outputs
-    drawn but not read and its buffer set, so that it stands where those
-    calls leave it.
+    a random(L) mask and an integers(0, table_size, size=hits) call.  Most
+    children read them from blocks of raw outputs by numpy's rules, for the
+    PCG64-backed Generator that evolve always builds and a table_size of at
+    most 2^32.  A coin lands below a rate when x >> 11 of a fresh output x
+    is below ceil(rate * 2^53).  A bounded draw reads a 32-bit half x, the
+    buffered one (has_uint32/uinteger) or else a fresh output's low half,
+    buffering the high half, and is (x * bound) >> 32, unless Lemire's rule
+    rejects x and draws again: the low 32 bits of x * bound below 2^32 mod
+    bound.  A block is read only up to the first output with a half that
+    one of the three bounds rejects.  One pass places each child's draws
+    there; array operations then give the values, the tournament winners
+    (the candidate ranked first by a stable sort of -fits: the fittest, and
+    the lower index among exact ties) and the children.  The generator is
+    then rewound to the first output not read, its buffer set.  When a block
+    places no child (a rejected half, or a child longer than the block),
+    _numpy_child breeds the next one by those calls themselves.  The
+    equality tests against tests/oracles.py's reference_breed, which makes
+    the calls, fail rather than let results drift if numpy changes a rule.
     """
     length = config.circuit_length
     k = config.tournament_size
@@ -458,8 +409,8 @@ def _breed(population: np.ndarray, fits: np.ndarray, config: GAConfig,
     rank[order] = np.arange(size)
     children = np.empty_like(population)
     children[:elites] = population[order[:elites]]
-    # Lanes 0, 1 and 2: tournament candidates, crossover points less one and
-    # replacement genes.
+    # Tournament candidates, crossover points less one and replacement genes.
+    # A bound of 1 reads a half nowhere and gives 0 from any.
     bounds = np.array([size, max(length - 1, 1), table_size], dtype=np.uint64)
     coin_cuts = math.ceil(config.crossover_rate * 2.0**53), math.ceil(rate * 2.0**53)
     pair = 2 * k
@@ -468,107 +419,98 @@ def _breed(population: np.ndarray, fits: np.ndarray, config: GAConfig,
     per_child = k + 2 + length * (1 + rate / 2)
     loci = np.arange(length)
     bits = rng.bit_generator
-    state = bits.state
-    # The cursor: the next fresh output, whether a half is buffered, and the
-    # last half buffered (uinteger keeps it once it is read).
-    pos, has, buf = 0, state["has_uint32"], 0
-    half = state["uinteger"]
-    raw = np.empty(0, dtype=np.uint64)
-    least = 1  # the outputs a block needs at least: doubled when no child fits
     done = elites
     while done < size:
-        wanted = max(least, min(_RAW_CHUNK, math.ceil(1.1 * (size - done) * per_child) + 16))
-        raw = np.concatenate((raw[pos:], bits.random_raw(max(wanted - (len(raw) - pos), 0))))
-        block = _Block(raw, half, bounds, coin_cuts)
-        span, outputs, crosses = block.span, len(raw), block.crosses
-        mutations, rejected, rejected_set = block.mutated.tobytes(), block.rejected_list, block.rejected_set
-        point_lane, gene_lane = span, 2 * span  # the first keys of lanes 1 and 2
-        # Per child: a run (key, lead, count) in each lane, then the output
-        # of its first mutation coin.  A run reads the buffered half first
-        # when its lane keeps it, then fresh halves from the cursor's next low
-        # half on, past those its lane rejects.  The three runs are written
-        # out, not called: this loop is breeding's hot path, and a call per
-        # run made a generation of 100 breed about a sixth slower.
+        state = bits.state
+        has = state["has_uint32"]
+        raw = bits.random_raw(min(_RAW_CHUNK, math.ceil(1.1 * (size - done) * per_child) + 16))
+        outputs = len(raw)
+        # Half h is the buffered half at h = 0, else output (h - 1) // 2's
+        # low half (h odd) or high half (h even).
+        halves = np.empty(2 * outputs + 1, dtype=np.uint64)
+        halves[0] = state["uinteger"]
+        halves[1:] = raw.astype("<u8", copy=False).view("<u4")
+        end = len(halves)  # every bound accepts the halves before end
+        for bound in bounds.tolist():
+            if (1 << 32) % bound:
+                rejected = np.flatnonzero(((halves[1 - has:end] * bound) & 0xFFFFFFFF) < (1 << 32) % bound)
+                if len(rejected):
+                    end = int(rejected[0]) + 1 - has
+        usable = max(end - 1, 0) >> 1
+        coins = raw >> np.uint64(11)
+        crosses = (coins < coin_cuts[0]).tobytes()
+        mutated = coins < coin_cuts[1]
+        mutations = mutated.tobytes()
+        # The cursor: the next fresh output, whether a half is buffered, and
+        # the last half buffered (uinteger keeps it once it is read).  Per
+        # child: a run (key, lead, count) of halves for each bound, then the
+        # output of its first mutation coin.  A run reads the buffered half
+        # first when there is one, then fresh halves from key on.  The three
+        # runs are written out, not called: this loop is breeding's hot path.
+        pos, buf = 0, 0
         placed = []
-        pos = buf = 0
         for _ in range(size - done):
             p, h, b = pos, has, buf
-            t_lead = b if h and b not in rejected_set else -1
-            t_key = 2 * p + 1
-            last = t_key + pair - 1 - (t_lead >= 0)
-            if rejected:
-                last = _skip(rejected, t_key, last)
-            if last >= span:
-                break
-            # A low half leaves its output's high half buffered; a high half
-            # is read from the buffer.
-            h = last & 1
-            p, b = (last + 1) >> 1, last + h
-            crossed, p_key, p_lead = 0, point_lane + 1, -1
+            t_lead, t_key, fresh = b if h else -1, 2 * p + 1, pair - h
+            p += (fresh + 1) >> 1
+            b, h = 2 * p, fresh & 1
+            crossed, p_key, p_lead = 0, 1, -1
             if length >= 2:
-                if p == outputs:
+                if p >= usable:
                     break
                 crossed = crosses[p]
                 p += 1
                 if crossed and length > 2:
-                    if h and point_lane + b not in rejected_set:
-                        p_lead, h = point_lane + b, 0
-                    else:
-                        p_key = last = point_lane + 2 * p + 1
-                        if rejected:
-                            last = _skip(rejected, p_key, last)
-                        if last >= point_lane + span:
-                            break
-                        last -= point_lane
-                        h = last & 1
-                        p, b = (last + 1) >> 1, last + h
-            if p + length > outputs:
+                    p_lead, p_key, fresh = b if h else -1, 2 * p + 1, 1 - h
+                    if fresh > 0:
+                        p += 1
+                        b = 2 * p
+                    h = fresh & 1
+            if p + length > usable:
                 break
             hits = mutations.count(1, p, p + length)
             mutate_at = p
             p += length
-            g_key, g_lead = gene_lane + 1, -1
+            g_key, g_lead = 1, -1
             if hits and table_size > 1:
-                fresh = hits
-                if h and gene_lane + b not in rejected_set:
-                    g_lead, fresh, h = gene_lane + b, hits - 1, 0
-                if fresh:
-                    g_key = gene_lane + 2 * p + 1
-                    last = g_key + fresh - 1
-                    if rejected:
-                        last = _skip(rejected, g_key, last)
-                    if last >= gene_lane + span:
-                        break
-                    last -= gene_lane
-                    h = last & 1
-                    p, b = (last + 1) >> 1, last + h
+                g_lead, g_key, fresh = b if h else -1, 2 * p + 1, hits - h
+                if fresh > 0:
+                    p += (fresh + 1) >> 1
+                    b = 2 * p
+                h = fresh & 1
+                if p > usable:
+                    break
             placed += t_key, t_lead, pair, p_key, p_lead, crossed, g_key, g_lead, hits, mutate_at
             pos, has, buf = p, h, b
-        half = int(block.halves[buf])
+        if placed:
+            record = np.fromiter(placed, dtype=np.int64, count=len(placed)).reshape(-1, 10)
+            bred = len(record)
+            # Bound by bound: the keys, leads and counts of the runs.
+            key, lead, count = record[:, :9].reshape(bred, 3, 3).transpose(2, 1, 0).reshape(3, -1)
+            ends = np.cumsum(count)
+            first = ends - count
+            led = lead >= 0
+            picked = np.repeat(key - led - first, count) + np.arange(ends[-1])
+            picked[first[led]] = lead[led]
+            totals = count.reshape(3, bred).sum(axis=1)
+            values = (halves[picked] * np.repeat(bounds, totals)) >> np.uint64(32)
+            tried, pointed = totals[0], totals[0] + totals[1]
+            winners = order[rank[values[:tried]].reshape(bred, 2, k).min(axis=2)]
+            parents = population[winners]
+            cut = np.full(bred, length)
+            cut[record[:, 5] == 1] = 1 + values[tried:pointed]
+            rows = np.where(loci < cut[:, None], parents[:, 0], parents[:, 1])
+            rows[mutated[record[:, 9, None] + loci]] = values[pointed:]
+            children[done:done + bred] = rows
+            done += bred
+        # PCG64 wraps a negative advance modulo 2^128; advance clears the buffer.
+        bits.advance(pos - outputs)
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = has, int(halves[buf])
+        bits.state = state
         if not placed:
-            least = 2 * outputs
-            continue
-        least = 1
-        record = np.fromiter(placed, dtype=np.int64, count=len(placed)).reshape(-1, 10)
-        drawn = len(record)
-        # Lane by lane: the keys, leads and counts of the runs.
-        values = block.read(*record[:, :9].reshape(drawn, 3, 3).transpose(2, 1, 0).reshape(3, -1))
-        crossed = record[:, 5] == 1
-        tried = drawn * pair
-        pointed = tried + int(crossed.sum())
-        winners = order[rank[values[:tried]].reshape(drawn, 2, k).min(axis=2)]
-        parents = population[winners]
-        cut = np.full(drawn, length)
-        cut[crossed] = 1 + values[tried:pointed]
-        rows = np.where(loci < cut[:, None], parents[:, 0], parents[:, 1])
-        rows[block.mutated[record[:, 9, None] + loci]] = values[pointed:]
-        children[done:done + drawn] = rows
-        done += drawn
-    # PCG64 wraps a negative advance modulo 2^128; advance clears the buffer.
-    bits.advance(pos - len(raw))
-    state = bits.state
-    state["has_uint32"], state["uinteger"] = has, half
-    bits.state = state
+            children[done] = _numpy_child(population, order, rank, config, table_size, rng)
+            done += 1
     return children
 
 

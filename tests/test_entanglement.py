@@ -322,6 +322,13 @@ def test_a_nan_stack_raises_instead_of_scoring_zero():
         _stack_negativities(inf_amps, _cut_layouts(4)[1][2])
 
 
+@pytest.mark.parametrize("value", [np.nan, 0.0, np.inf], ids=["nan", "zero", "inf"])
+def test_stabilizer_scores_refuse_a_purity_that_is_not_finite_and_positive(value):
+    # No SVD runs on this path, so no SVD error may be raised either.
+    with pytest.raises(RuntimeError, match="is not finite and positive"):
+        _cut_negativities(np.full(16, value + 0j), 4, stabilizer=True)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_total_negativity_refuses_nan_and_infinite_amplitudes(bad):
     amps = random_state(4, np.random.default_rng(4)).amplitudes.copy()

@@ -33,7 +33,7 @@ from entangler.evolve import (
     length_sweep,
     sweep_seed,
 )
-from entangler.qsim import Circuit, GateSpec, run_circuit, zero_state
+from entangler.qsim import Circuit, GateSpec, parse_circuit, run_circuit, zero_state
 
 from oracles import reference_breed
 
@@ -130,6 +130,15 @@ def test_encode_rejects_foreign_gates():
     gs = build_gate_set(3, ("H",))
     with pytest.raises(ValueError, match="not in the"):
         encode(ghz_circuit(3), gs)
+
+
+def test_encode_refuses_a_circuit_on_another_qubit_count():
+    # The 2-qubit Bell circuit's gates are in the 4-qubit table too, but its
+    # genes would decode to a 4-qubit circuit, and fitness would score that.
+    gs = build_gate_set(4, ("H", "CNOT"))
+    with pytest.raises(ValueError, match="circuit on 2 qubits, gate table on 4"):
+        encode(parse_circuit("H(0); CNOT(0,1)"), gs)
+    assert decode(encode(parse_circuit("H(0); CNOT(0,1)", 4), gs), gs) == parse_circuit("H(0); CNOT(0,1)", 4)
 
 
 # --- fitness -------------------------------------------------------------------
@@ -725,9 +734,10 @@ def test_a_generation_past_one_chunk_breeds_as_the_numpy_calls_would(
 
 @pytest.mark.parametrize("chunk", [1, 2, 5, 16])
 def test_blocks_of_any_size_breed_as_the_numpy_calls_would(monkeypatch, chunk):
-    # Blocks of a few outputs end inside most children, so most children are
-    # placed again in a block that carries over the unread outputs and the
-    # buffered half.
+    # Blocks of a few outputs hold no whole child, so most children are bred
+    # by the Generator calls themselves, each from the state the block before
+    # left: the generator rewound to the first output not read, its buffered
+    # half set.
     monkeypatch.setattr(evolve_module, "_RAW_CHUNK", chunk)
     for seed in range(12):
         draw = np.random.default_rng([chunk, seed])
@@ -746,6 +756,58 @@ def test_blocks_of_any_size_breed_as_the_numpy_calls_would(monkeypatch, chunk):
             assert np.array_equal(children, reference_breed(population, fits, config, table_size, reference_rng))
             assert rng.bit_generator.state == reference_rng.bit_generator.state
             population = children
+
+
+class _SpyBits:
+    """A bit generator that records the size of every random_raw call."""
+
+    def __init__(self, bits):
+        self._bits = bits
+        self.sizes = []
+
+    def random_raw(self, size=None):
+        self.sizes.append(size)
+        return self._bits.random_raw(size)
+
+    def advance(self, delta):
+        self._bits.advance(delta)
+
+    @property
+    def state(self):
+        return self._bits.state
+
+    @state.setter
+    def state(self, value):
+        self._bits.state = value
+
+
+class _SpyGenerator:
+    """A Generator whose integers and random calls are the real one's and
+    whose bit generator is a _SpyBits around the real one's."""
+
+    def __init__(self, rng):
+        self.bit_generator = _SpyBits(rng.bit_generator)
+        self.integers, self.random = rng.integers, rng.random
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+def test_breed_never_draws_more_than_one_chunk_of_raw_outputs(buffered):
+    # A child of 9,000 genes needs more than one chunk of outputs, so it is
+    # bred by the Generator calls; no block grows to hold it.
+    config = GAConfig(n=3, circuit_length=9000, population_size=4, per_gene_mutation_rate=0.5)
+    population = np.random.default_rng(5).integers(0, 15, size=(4, 9000))
+    fits = np.array([0.5, 1.5, 0.0, 1.5])
+    rng, reference_rng = np.random.default_rng(6), np.random.default_rng(6)
+    if buffered:
+        rng.integers(0, 3), reference_rng.integers(0, 3)
+    spy = _SpyGenerator(rng)
+    for _ in range(2):
+        children = _breed(population, fits, config, 15, spy)
+        assert np.array_equal(children, reference_breed(population, fits, config, 15, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        population = children
+    assert spy.bit_generator.sizes
+    assert max(spy.bit_generator.sizes) <= _RAW_CHUNK
 
 
 @given(bound=st.sampled_from([1, 2, 3, 99, REJECTING_RANGE, 2**31 + 1, 2**32 - 1, 2**32]),
@@ -806,6 +868,27 @@ def _rejected_below_1965(output, high):
     x = int(bits.random_raw())
     half = x >> 32 if high else x & 0xFFFFFFFF
     return (half * 1965) % 2**32 < 2**32 % 1965
+
+
+def test_a_block_ends_before_the_first_half_lemire_rejects():
+    # One bred child: two one-candidate tournaments (output 0's halves), a
+    # crossover coin that never lands (output 1), two mutation coins that
+    # always land (outputs 2 and 3) and two genes (output 4's halves).  Of
+    # those ten halves the seed's only one below REJECTING_RANGE's cut is the
+    # last gene's, which Lemire's rule draws again.
+    config = GAConfig(n=3, circuit_length=2, population_size=2, tournament_size=1,
+                      crossover_rate=0.0, per_gene_mutation_rate=1.0)
+
+    def rejected(seed):
+        halves = np.random.default_rng(seed).bit_generator.random_raw(5).astype("<u8").view("<u4")
+        return [int(x) * REJECTING_RANGE % 2**32 < 2**32 % REJECTING_RANGE for x in halves]
+
+    seed = next(s for s in itertools.count() if rejected(s) == [False] * 9 + [True])
+    population, fits = np.zeros((2, 2), dtype=np.int64), np.array([1.0, 0.0])
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    children = _breed(population, fits, config, REJECTING_RANGE, rng)
+    assert np.array_equal(children, reference_breed(population, fits, config, REJECTING_RANGE, reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("lane, start, buffered", [
