@@ -58,7 +58,7 @@ from math import comb, inf, log2
 
 import numpy as np
 
-from .qsim import MAX_QUBITS, NON_CLIFFORD_KINDS, Circuit, StateVector, _apply_gate_inplace, _settle_norm, zero_state
+from .qsim import MAX_QUBITS, NON_CLIFFORD_KINDS, Circuit, StateVector, _apply_gate_inplace, _settle_norm, _zero_amplitudes
 
 # Eigenvalues above this (tiny, negative) threshold count as zero so that
 # solver noise cannot accumulate across dozens of cuts.
@@ -213,7 +213,8 @@ def _stack_negativities(amps: np.ndarray, gathers: np.ndarray) -> list[float]:
     A NaN sum, which LAPACK returns without failing for an infinite entry,
     raises LinAlgError rather than clamping to 0.0.
     """
-    sums = _singular_values(amps[gathers]).sum(axis=-1)
+    # The ufunc reduction that ndarray.sum ends in, without its Python wrapper.
+    sums = np.add.reduce(_singular_values(amps[gathers]), axis=-1)
     values = []
     for s in sums.tolist():
         value = (s ** 2 - 1.0) / 2.0
@@ -428,7 +429,7 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     """
     n = _check_scored(circuit.n)
     register = (1 << n) - 1
-    amps = zero_state(n).amplitudes.copy()
+    amps = _zero_amplitudes(n).copy()
     groups = [1 << q for q in range(n)]  # groups[q]: member mask of qubit q's component
     tainted = 0  # mask of the qubits a non-Clifford gate has acted on
     values = [0.0] * ((1 << (n - 1)) - 1)

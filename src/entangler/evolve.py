@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .entanglement import _check_scored, _total_negativity
-from .qsim import GATE_KINDS, SINGLE_QUBIT_KINDS, Circuit, GateSpec, _apply_gate_inplace, format_circuit
+from .qsim import GATE_KINDS, SINGLE_QUBIT_KINDS, Circuit, GateSpec, _apply_gate_inplace, _zero_amplitudes, format_circuit
 
 # A chromosome is any sequence of gene integers; arrays, lists and tuples all work.
 Chromosome = Sequence[int]
@@ -149,8 +149,7 @@ def fitness(genes: Chromosome, gate_set: GateSet, *, memo: dict[bytes, float] | 
     returns the same value, only sooner for a state seen before.
     """
     n = gate_set.n
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[0] = 1.0
+    amps = _zero_amplitudes(n).copy()
     # The table's gates are checked for n already; no Circuit is built.
     for gate in _placed(genes, gate_set):
         _apply_gate_inplace(amps, gate, n)
@@ -260,7 +259,8 @@ def _pool_size(workers: int, population_size: int) -> int:
 
 
 def _fitnesses(rows: np.ndarray, gate_set: GateSet, memo: dict[bytes, float]) -> np.ndarray:
-    return np.array([fitness(row, gate_set, memo=memo) for row in rows])
+    # Rows as lists of Python ints, converted once per slice, not per gene.
+    return np.array([fitness(row, gate_set, memo=memo) for row in rows.tolist()])
 
 
 def _serve(conn, gate_set: GateSet) -> None:

@@ -135,14 +135,14 @@ def zero_state(n: int) -> StateVector:
 # Most CNOT orders _cnot_order keeps: every placement on MAX_QUBITS qubits.
 CNOT_ORDER_CACHE_SIZE = MAX_QUBITS * (MAX_QUBITS - 1)
 
-# Most index pairs _flip_index keeps: every (qubit, n) with n <= MAX_QUBITS.
-FLIP_INDEX_CACHE_SIZE = MAX_QUBITS * (MAX_QUBITS + 1) // 2
+# Most plans _single_qubit_plan keeps: every (kind, qubit, n) with n <= MAX_QUBITS.
+SINGLE_QUBIT_PLAN_CACHE_SIZE = len(SINGLE_QUBIT_KINDS) * MAX_QUBITS * (MAX_QUBITS + 1) // 2
 
-# Per single-qubit kind, the coefficient an amplitude keeps (u00, u11) and the
-# one it takes from its partner (u01, u10), each indexed by the amplitude's
-# bit on the gate's qubit.
-_STAY = {kind: np.array([u[0, 0], u[1, 1]]) for kind, u in GATE_MATRICES.items()}
-_SWAP = {kind: np.array([u[0, 1], u[1, 0]]) for kind, u in GATE_MATRICES.items()}
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _zero_amplitudes(n: int) -> np.ndarray:
+    """Read-only |00...0> amplitudes on n qubits, for a simulation to copy."""
+    return zero_state(n).amplitudes
 
 
 @lru_cache(maxsize=CNOT_ORDER_CACHE_SIZE)
@@ -161,34 +161,40 @@ def _cnot_order(control: int, target: int, n: int) -> np.ndarray:
     return order
 
 
-@lru_cache(maxsize=FLIP_INDEX_CACHE_SIZE)
-def _flip_index(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only intp vectors (bit, flip) with bit[k] = bit q of k and
-    flip[k] = k ^ 2^q, for basis indices k < 2^n.
+@lru_cache(maxsize=SINGLE_QUBIT_PLAN_CACHE_SIZE)
+def _single_qubit_plan(kind: str, q: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only vectors (stay, swap, flip) for gate u = GATE_MATRICES[kind] on
+    qubit q of n: with b = bit q of basis index k, stay[k] = u[b, b], swap[k] =
+    u[b, 1-b] and flip[k] = k ^ 2^q.
 
-    The cache holds every (q, n) there is, so nothing is evicted; all 78 pairs
-    take 2 * 8 * sum(n * 2^n for n = 1..12) bytes = 1.44 MB.
+    The cache holds every placement there is, so nothing is evicted.  A plan
+    takes 40 bytes per amplitude (two complex vectors and one intp vector), so
+    all 6 * 78 = 468 plans take 6 * 40 * sum(n * 2^n for n = 1..12) bytes =
+    21.6 MB; a GA run touches only its own n's placements.
     """
+    u = GATE_MATRICES[kind]
     index = np.arange(1 << n, dtype=np.intp)
     bit = (index >> q) & 1
+    stay = np.array([u[0, 0], u[1, 1]])[bit]
+    swap = np.array([u[0, 1], u[1, 0]])[bit]
     flip = index ^ (1 << q)
-    bit.flags.writeable = False
-    flip.flags.writeable = False
-    return bit, flip
+    for vector in (stay, swap, flip):
+        vector.flags.writeable = False
+    return stay, swap, flip
 
 
 def _apply_gate_inplace(amps: np.ndarray, gate: GateSpec, n: int) -> None:
     """Apply one gate to a writable, contiguous amplitude array, in place.
 
-    A single-qubit gate u on q is one gather, stay * amps + swap * amps[flip]:
-    with b = bit q of k, stay[k] = u[b, b], swap[k] = u[b, 1-b] and flip[k] =
-    k ^ 2^q, each coefficient vector gathered from a two-entry array through
-    the cached _flip_index.  For b = 0 that is u00 a0 + u01 a1, the index-array
-    kernel's sum; for b = 1 it is u11 a1 + u10 a0, the same two products added
-    the other way round, which IEEE addition rounds alike.  The coefficient is
-    the first operand of each product: numpy's complex multiply can round
-    coef * amp and amp * coef differently (it does for T).  CNOT is one gather
-    through the cached _cnot_order.  CZ negates the 11 slice of
+    A single-qubit gate u on q is one gather, two in-place products and one
+    in-place sum, stay * amps + swap * amps[flip], from the cached
+    _single_qubit_plan.  With b = bit q of k, for b = 0 that is u00 a0 +
+    u01 a1, the index-array kernel's sum; for b = 1 it is u11 a1 + u10 a0,
+    the same two products added the other way round, which IEEE addition
+    rounds alike.  The coefficient is the first operand of each product:
+    numpy's complex multiply can round coef * amp and amp * coef differently
+    (it does for T's u11).  CNOT is one gather through the cached
+    _cnot_order.  CZ negates the 11 slice of
     amps.reshape(2^(n-hi-1), 2, 2^(hi-lo-1), 2, 2^lo) for qubits hi > lo.
     No 2^n x 2^n matrix is built; the full-matrix construction exists only
     as a test oracle.
@@ -201,10 +207,10 @@ def _apply_gate_inplace(amps: np.ndarray, gate: GateSpec, n: int) -> None:
         hi, lo = max(a, b), min(a, b)
         amps.reshape(1 << (n - hi - 1), 2, 1 << (hi - lo - 1), 2, 1 << lo)[:, 1, :, 1] *= -1.0
     else:
-        bit, flip = _flip_index(gate.args[0], n)
-        partner = _SWAP[kind][bit]
-        np.multiply(partner, amps[flip], out=partner)
-        np.multiply(_STAY[kind][bit], amps, out=amps)
+        stay, swap, flip = _single_qubit_plan(kind, gate.args[0], n)
+        partner = amps[flip]
+        np.multiply(swap, partner, out=partner)
+        np.multiply(stay, amps, out=amps)
         amps += partner
 
 
@@ -234,7 +240,7 @@ def run_circuit(circuit: Circuit, initial: StateVector) -> StateVector:
     """Apply circuit.gates in stored order to the initial state.
 
     Refuses more than MAX_QUBITS qubits before anything is copied, so the
-    kernel's caches only ever hold orders and index vectors for n <= MAX_QUBITS.
+    kernel's caches only ever hold orders and plans for n <= MAX_QUBITS.
     """
     if circuit.n != initial.n:
         raise ValueError(f"circuit is on {circuit.n} qubits but the state has {initial.n}")

@@ -97,3 +97,64 @@ def reference_breed(population: np.ndarray, fits: np.ndarray, config,
             child[mask] = rng.integers(0, table_size, size=hits)
         children.append(child)
     return np.array(children)
+
+
+def _gf2_rank(rows) -> int:
+    """Rank over GF(2) of bit rows given as Python ints."""
+    pivots = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = row
+                break
+            row ^= pivots[top]
+    return len(pivots)
+
+
+def tableau_trace(circuit: Circuit) -> list[tuple[int, float]]:
+    """Total negativity after each prefix of a T-free circuit, exactly, from a
+    binary stabilizer tableau without phases.
+
+    Row i holds the x and z bits of one generator as two n-bit ints; |0...0>
+    is generated by z = e_i.  X, Y and Z change only phases, so they leave
+    the rows as they are.  Across a cut A with |A| qubits the state has
+    2^k equal Schmidt coefficients, where k is the GF(2) rank of the rows
+    restricted to A's x and z columns, minus |A| (Fattal et al.,
+    quant-ph/0406168), so the cut contributes (2^k - 1)/2.
+    """
+    n = circuit.n
+    xs, zs = [0] * n, [1 << i for i in range(n)]
+    cuts = range(1, (1 << n) - 1, 2)  # odd masks: the cuts holding qubit 0
+
+    def total():
+        doubled = 0
+        for cut in cuts:
+            rows = [(x & cut) | (z & cut) << n for x, z in zip(xs, zs)]
+            doubled += (1 << (_gf2_rank(rows) - bin(cut).count("1"))) - 1
+        return doubled / 2
+
+    trace = [(0, total())]
+    for step, gate in enumerate(circuit.gates, 1):
+        for i in range(n):
+            x, z = xs[i], zs[i]
+            if gate.kind == "H":
+                (q,) = gate.args
+                flipped = ((x >> q) ^ (z >> q)) & 1
+                x, z = x ^ flipped << q, z ^ flipped << q
+            elif gate.kind == "S":
+                (q,) = gate.args
+                z ^= x & (1 << q)
+            elif gate.kind == "CNOT":
+                c, t = gate.args
+                x ^= ((x >> c) & 1) << t
+                z ^= ((z >> t) & 1) << c
+            elif gate.kind == "CZ":
+                a, b = gate.args
+                z ^= ((x >> b) & 1) << a
+                z ^= ((x >> a) & 1) << b
+            elif gate.kind == "T":
+                raise ValueError("a T gate leaves the stabilizer states")
+            xs[i], zs[i] = x, z
+        trace.append((step, total()))
+    return trace

@@ -37,7 +37,7 @@ from entangler.qsim import (
     zero_state,
 )
 
-from oracles import char_poly_eigenvalues, partial_transpose_dense, random_state
+from oracles import char_poly_eigenvalues, partial_transpose_dense, random_state, tableau_trace
 
 
 CLIFFORD_KINDS = tuple(kind for kind in GATE_KINDS if kind not in NON_CLIFFORD_KINDS)
@@ -393,6 +393,14 @@ def test_stabilizer_scores_are_exact_and_match_the_svd(circuit):
             assert abs(value - svd_value) <= 1e-12
             k = round(np.log2(2.0 * value + 1.0))
             assert value == (2**k - 1) / 2
+
+
+@given(circuit=_circuits(CLIFFORD_KINDS))
+@settings(max_examples=60)
+def test_clifford_traces_equal_the_binary_tableau_exactly(circuit):
+    # The GF(2) rank of each cut's tableau columns gives every entry's exact
+    # half-integer sum, with no floating point on the oracle's side.
+    assert entanglement_trace(circuit) == tableau_trace(circuit)
 
 
 def test_stabilizer_scores_refuse_a_spectrum_that_is_not_flat():

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from entangler import qsim as qsim_module
 from entangler.qsim import (
     CNOT_ORDER_CACHE_SIZE,
-    FLIP_INDEX_CACHE_SIZE,
     GATE_KINDS,
     GATE_MATRICES,
     MAX_QUBITS,
     RENORM_TOL,
     SINGLE_QUBIT_KINDS,
+    SINGLE_QUBIT_PLAN_CACHE_SIZE,
     TWO_QUBIT_KINDS,
     Circuit,
     CircuitParseError,
@@ -20,8 +20,8 @@ from entangler.qsim import (
     StateVector,
     _apply_gate_inplace,
     _cnot_order,
-    _flip_index,
     _settle_norm,
+    _single_qubit_plan,
     allclose_up_to_phase,
     apply_gate,
     format_circuit,
@@ -245,13 +245,13 @@ def test_simulation_refuses_more_qubits_than_the_cap():
     # it; simulating it is refused before the kernel or its caches see it.
     state = StateVector(MAX_QUBITS + 1, np.eye(1, 2 ** (MAX_QUBITS + 1))[0])
     gates = (GateSpec("H", (0,)), GateSpec("CNOT", (0, MAX_QUBITS)))
-    before = (_cnot_order.cache_info(), _flip_index.cache_info())
+    before = (_cnot_order.cache_info(), _single_qubit_plan.cache_info())
     with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits"):
         run_circuit(Circuit(MAX_QUBITS + 1, gates), state)
     for gate in gates:
         with pytest.raises(ValueError, match=f"capped at {MAX_QUBITS} qubits"):
             apply_gate(state, gate)
-    assert (_cnot_order.cache_info(), _flip_index.cache_info()) == before
+    assert (_cnot_order.cache_info(), _single_qubit_plan.cache_info()) == before
 
 
 def test_chained_apply_gate_renormalizes_like_run_circuit():
@@ -321,7 +321,7 @@ def _index_array_kernel(amps: np.ndarray, gate: GateSpec) -> None:
         amps[i1] = u[1, 0] * a0 + u[1, 1] * a1
 
 
-@pytest.mark.parametrize("n", range(2, MAX_QUBITS + 1))
+@pytest.mark.parametrize("n", range(1, MAX_QUBITS + 1))
 def test_gate_kernel_equals_the_index_array_kernel_bit_for_bit(n):
     rng = np.random.default_rng(n)
     state = random_state(n, rng).amplitudes.copy()
@@ -362,24 +362,29 @@ def test_cnot_order_cache_stays_within_its_byte_bound():
 
 
 def test_flip_indices_are_read_only():
-    bit, flip = _flip_index(1, 3)
-    assert bit.tolist() == [0, 0, 1, 1, 0, 0, 1, 1]
+    stay, swap, flip = _single_qubit_plan("H", 1, 3)
     assert flip.tolist() == [2, 3, 0, 1, 6, 7, 4, 5]
-    for index in (bit, flip):
-        assert index.dtype == np.intp
-        assert not index.flags.writeable
+    assert flip.dtype == np.intp
+    # H's own entries, picked by bit 1 of k: 0, 0, 1, 1, 0, 0, 1, 1.
+    h = GATE_MATRICES["H"]
+    assert stay.tolist() == [h[0, 0], h[0, 0], h[1, 1], h[1, 1]] * 2
+    assert swap.tolist() == [h[0, 1], h[0, 1], h[1, 0], h[1, 0]] * 2
+    for vector in (stay, swap, flip):
+        assert not vector.flags.writeable
         with pytest.raises(ValueError):
-            index[0] = 1
+            vector[0] = 1
 
 
 def test_flip_index_cache_stays_within_its_byte_bound():
-    # The docstring's worst case: every (q, n) pair, 78 of them, in 1.44 MB.
-    placements = [(q, n) for n in range(1, MAX_QUBITS + 1) for q in range(n)]
-    assert _flip_index.cache_info().maxsize == FLIP_INDEX_CACHE_SIZE == len(placements) == 78
-    total = sum(index.nbytes for placement in placements for index in _flip_index(*placement))
-    assert total == 2 * np.dtype(np.intp).itemsize * sum(n << n for n in range(1, MAX_QUBITS + 1))
-    assert total <= 1.45e6
-    assert _flip_index.cache_info().currsize == FLIP_INDEX_CACHE_SIZE
+    # The docstring's worst case: every (kind, q, n) plan, 468 of them, in 21.6 MB.
+    placements = [(kind, q, n) for kind in SINGLE_QUBIT_KINDS
+                  for n in range(1, MAX_QUBITS + 1) for q in range(n)]
+    assert _single_qubit_plan.cache_info().maxsize == SINGLE_QUBIT_PLAN_CACHE_SIZE == len(placements) == 468
+    total = sum(vector.nbytes for placement in placements for vector in _single_qubit_plan(*placement))
+    per_amplitude = 2 * np.dtype(complex).itemsize + np.dtype(np.intp).itemsize
+    assert total == len(SINGLE_QUBIT_KINDS) * per_amplitude * sum(n << n for n in range(1, MAX_QUBITS + 1))
+    assert total <= 21.7e6
+    assert _single_qubit_plan.cache_info().currsize == SINGLE_QUBIT_PLAN_CACHE_SIZE
 
 
 def test_nonzero_counts():
