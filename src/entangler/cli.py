@@ -48,11 +48,12 @@ _VALIDATE_TOL = 1e-10
 MAX_VALIDATED_QUBITS = 9
 
 # Most cut rescorings trace takes on, counted as 2^(n-2) per two-qubit gate:
-# a two-qubit gate scores at most 2^(k-2) cuts of its k-qubit component's
-# 2^k amplitudes, k <= n, and sets the rest of the cuts it changes by the
-# product rule.  A whole-state cut takes about 0.43 ms at n = 12 (2-vCPU
-# Xeon host), so the cap is about one minute of work.  A larger circuit
-# exits 64 unscored.
+# a two-qubit gate scores at most 2^(k-2) cuts of its k-qubit component,
+# k <= n, and sets the rest of the cuts it changes by the product rule.  A
+# whole-state cut that a T gate has touched takes the SVD path, about
+# 0.43 ms at n = 12 (2-vCPU Xeon host), so the cap is about one minute of
+# work; a T-free cut is ranked from the stabilizer tableau in microseconds.
+# A larger circuit exits 64 unscored.
 MAX_TRACE_CUTS = 1 << 17
 
 # Largest --circuit file read, in bytes.  A larger one is refused before any

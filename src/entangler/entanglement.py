@@ -29,20 +29,24 @@ The search loop, ``total_entanglement`` and ``cut_negativity`` always take
 the dense Schmidt path, whose last bits decide GA ties.  Only a trace
 (``entanglement_trace``) also scores exactly: a component no T gate has
 touched holds a stabilizer state, and each of its cuts contributes exactly
-(2^k - 1)/2, with k read off the cut's purity instead of an SVD
-(``_stack_stabilizer_negativities``).
+(2^k - 1)/2, with k the GF(2) rank of the component's stabilizer
+generators restricted to the cut, minus the cut's size (``_gf2_ranks``,
+over a binary tableau the trace keeps beside the amplitudes): no amplitude
+is read and no SVD runs.
 
 A trace keeps every register cut's current contribution in one list across
 the prefixes of a circuit, and after each gate sets again only the cuts that
 gate can change: none for a single-qubit gate, and for a two-qubit gate on
 (a, b) the cuts that separate a from b.  It tracks components, the qubit
 sets the two-qubit gates so far have linked, and scores a changed cut's side
-in the gate's component on that component's own amplitudes, normalized, the
-whole register's included; its docstring gives the rule.  An entry agrees
-with ``total_entanglement`` of the same prefix within 1e-12 at any circuit
-length, every entry of a T-free prefix is an exact multiple of
-1/2, and a single-qubit step repeats the entry before it exactly.  The CLI
-caps a trace at ``cli.MAX_TRACE_CUTS`` cut rescorings.
+in the gate's component alone: ranked from the tableau while no T gate has
+touched the component, else by SVD on the component's own amplitudes,
+normalized, the whole register's included.  The other changed cuts follow
+from those sides by a product rule; its docstring gives the rule.  An entry
+agrees with ``total_entanglement`` of the same prefix within 1e-12 at any
+circuit length, every entry of a T-free prefix is an exact multiple of 1/2,
+and a single-qubit step repeats the entry before it exactly.  The CLI caps a
+trace at ``cli.MAX_TRACE_CUTS`` cut rescorings.
 
 Every scoring entry point, and everything that builds cuts, takes n from 2
 to qsim.MAX_QUBITS (``_check_scored``) and refuses any other n before it
@@ -54,7 +58,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from math import comb, inf, log2
+from math import comb
 
 import numpy as np
 
@@ -71,11 +75,6 @@ NEGATIVE_EIGENVALUE_TOL = -1e-12
 # at n = 6 and 1,000 at n = 12.  A memo serves one qubit count.
 MEMO_MAX_BYTES = 64 << 20
 MEMO_ENTRY_OVERHEAD = 160
-
-# Most cut matrices _stack_stabilizer_negativities gathers at once: 32 * 2^n
-# amplitudes, 512 KiB at n = 10, where the 126 five-member cuts of n = 10
-# would take 2 MiB in one stack.
-PURITY_CHUNK = 32
 
 
 def _raise_svd_nonconvergence(err, flag):
@@ -227,36 +226,23 @@ def _stack_negativities(amps: np.ndarray, gathers: np.ndarray) -> list[float]:
     return values
 
 
-def _stack_stabilizer_negativities(amps: np.ndarray, gathers: np.ndarray) -> list[float]:
-    """Exact contribution of each cut in a stack, in stack order, for a stabilizer state.
+def _gf2_ranks(words: np.ndarray) -> np.ndarray:
+    """GF(2) rank of each stack of bit rows: words has shape (..., rows), one
+    row per int64 word, and any leading axes are a batch.
 
-    Across any cut a stabilizer state has 2^k equal Schmidt coefficients
-    (Fattal et al., quant-ph/0406168), so the cut contributes exactly
-    (2^k - 1)/2 and its purity ||M M^dag||_F^2 is 2^-k.  k is -log2 of the
-    purity, rounded; the Gram matrix is taken on the smaller side, at most
-    PURITY_CHUNK matrices at a time.  Raises RuntimeError when a purity is
-    not finite and positive (a state of non-finite or zero amplitudes), or
-    more than 1e-6 (relative) from 2^-k: the state is not a stabilizer state.
+    Each row in turn, as the rows before it left it, clears its lowest set
+    bit from every later row that holds it.  The nonzero rows left then each
+    hold a bit no later row holds, so they are independent and span what the
+    rows spanned: their count is the rank.  words itself is not changed.
     """
-    values = []
-    for start in range(0, len(gathers), PURITY_CHUNK):
-        mats = amps[gathers[start:start + PURITY_CHUNK]]
-        if mats.shape[1] > mats.shape[2]:
-            mats = mats.swapaxes(1, 2)
-        gram = np.matmul(mats, mats.conj().swapaxes(1, 2))
-        # On Python floats: a chain of ufunc calls on a few values costs more than the matmul.
-        for purity in np.square(gram.view(np.float64)).sum(axis=(1, 2)).tolist():
-            if not 0.0 < purity < inf:
-                raise RuntimeError(f"cut purity {purity!r} is not finite and positive")
-            rank = 2.0 ** round(-log2(purity))
-            if not abs(purity * rank - 1.0) <= 1e-6:
-                raise RuntimeError(f"cut purity {purity!r} is not a power of 1/2: not a stabilizer state")
-            values.append((rank - 1.0) / 2.0)
-    return values
+    rows = np.array(np.moveaxis(words, -1, 0), dtype=np.int64)  # a copy, rows first
+    for i in range(len(rows) - 1):
+        row, later = rows[i], rows[i + 1:]
+        later ^= row * ((later & (row & -row)) != 0)
+    return np.count_nonzero(rows, axis=0)
 
 
-def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = None, *,
-                      stabilizer: bool = False) -> list[float]:
+def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = None) -> list[float]:
     """Every canonical cut's contribution, ascending by mask (mask m at m >> 1).
 
     apart=(a, b) scores only the cuts that separate qubit a from qubit b and
@@ -264,13 +250,9 @@ def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = 
     Each cut size still takes one stacked SVD, over just those cuts'
     gathers; LAPACK factors each matrix of a stack on its own, so a cut
     scores the same bits in a partial stack as in the full one.
-    stabilizer=True, for a stabilizer state only, scores each stack exactly
-    from its purities instead (_stack_stabilizer_negativities), with
-    floating-point errors ignored: no SVD runs, and each purity is checked.
     """
-    score = _stack_stabilizer_negativities if stabilizer else _stack_negativities
     values = [0.0] * ((1 << (n - 1)) - 1)
-    with np.errstate(all="ignore") if stabilizer else np.errstate(**_SVD_ERRSTATE):
+    with np.errstate(**_SVD_ERRSTATE):
         for _m, masks, gathers in _cut_layouts(n):
             if apart is not None:
                 a, b = apart
@@ -278,7 +260,7 @@ def _cut_negativities(amps: np.ndarray, n: int, apart: tuple[int, int] | None = 
                 if not picked:
                     continue
                 masks, gathers = [masks[i] for i in picked], gathers[picked]
-            for mask, value in zip(masks, score(amps, gathers)):
+            for mask, value in zip(masks, _stack_negativities(amps, gathers)):
                 values[mask >> 1] = value
     return values
 
@@ -390,6 +372,27 @@ def max_entanglement_bound(n: int) -> float:
     return total
 
 
+def _tableau_negativities(xs: list[int], zs: list[int], members: list[int], sides: list[int]) -> list[float]:
+    """Exact contribution of each local cut of a T-free component, in sides order.
+
+    xs[q] and zs[q] hold bit r of generator r's x and z parts on qubit q; a
+    component's generators are its members' and act on its members alone.
+    Local bit j stands for qubit members[j], and each side is a local member
+    mask.  Across side S the component's state has 2^k equal Schmidt
+    coefficients, k = the GF(2) rank of the generators restricted to S's x
+    and z columns, minus |S| (Fattal et al., quant-ph/0406168), so the side
+    contributes (2^k - 1)/2, exactly.
+    """
+    m = len(members)
+    columns = np.array([xs[q] for q in members] + [zs[q] for q in members], dtype=np.int64)
+    # words[r]: generator members[r]'s x bits at local bits 0..m-1, its z bits above them.
+    bits = (columns >> np.array(members, dtype=np.int64)[:, None]) & 1
+    words = np.bitwise_or.reduce(bits << np.arange(2 * m, dtype=np.int64), axis=1)
+    cuts = np.array(sides, dtype=np.int64)
+    ranks = _gf2_ranks(words & (cuts | cuts << m)[:, None]).tolist()
+    return [((1 << (rank - side.bit_count())) - 1) / 2 for rank, side in zip(ranks, sides)]
+
+
 def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     """Total score after each prefix of the circuit; entry 0 is |0...0>.
 
@@ -404,12 +407,16 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
 
     The qubits linked by the two-qubit gates so far form components, and the
     state is a product of one state per component: entry 0 takes no SVD.  A
-    gate on (a, b) joins component C.  First C's cuts that separate a from b
-    are scored on C's own state psi_C: the column holding the largest
+    gate on (a, b) joins component C, and first C's own cuts that separate a
+    from b are scored.  While no T gate has acted on a qubit of C, C holds a
+    stabilizer state, and they are ranked exactly from a binary tableau
+    without phases (Aaronson & Gottesman, quant-ph/0406196) that the trace
+    keeps beside the amplitudes: H, S, CNOT and CZ update it, X, Y and Z
+    change only signs, and generator r, which starts as Z on qubit r, stays
+    on qubit r's component.  No amplitude is read.  Otherwise they are
+    scored by SVD on C's own state psi_C: the column holding the largest
     amplitude of the amplitudes reshaped along C (a rank-one matrix),
     normalized, a unit vector even when C is the whole register.
-    While no T gate has acted on a qubit of C, psi_C is a stabilizer state
-    and these cuts are scored exactly from their purities; otherwise by SVD.
     Then each register cut R that separates a from b takes its value from
     two: v_S, C's value at S = R & C, and v_T, the kept value at the
     register cut of T = R - C.  That cut keeps all of C on one side, so this
@@ -432,15 +439,32 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
     amps = _zero_amplitudes(n).copy()
     groups = [1 << q for q in range(n)]  # groups[q]: member mask of qubit q's component
     tainted = 0  # mask of the qubits a non-Clifford gate has acted on
+    # The tableau by qubit: bit r of xs[q] and zs[q] is generator r's x and z part on qubit q.
+    xs, zs = [0] * n, [1 << q for q in range(n)]
     values = [0.0] * ((1 << (n - 1)) - 1)
     trace = [(0, _total_negativity(amps, n, known=values))]
     for step, gate in enumerate(circuit.gates, start=1):
         _apply_gate_inplace(amps, gate, n)
-        if gate.kind in NON_CLIFFORD_KINDS:
-            for q in gate.args:
+        kind, args = gate.kind, gate.args
+        if kind == "H":
+            (q,) = args
+            xs[q], zs[q] = zs[q], xs[q]
+        elif kind == "S":
+            (q,) = args
+            zs[q] ^= xs[q]
+        elif kind == "CNOT":
+            c, t = args
+            xs[t] ^= xs[c]
+            zs[c] ^= zs[t]
+        elif kind == "CZ":
+            a, b = args
+            zs[a] ^= xs[b]
+            zs[b] ^= xs[a]
+        elif kind in NON_CLIFFORD_KINDS:
+            for q in args:
                 tainted |= 1 << q
-        if len(gate.args) == 2:
-            a, b = gate.args
+        if len(args) == 2:
+            a, b = args
             joined = groups[a] | groups[b]
             members = [q for q in range(n) if joined >> q & 1]
             # Local index l has bit j for qubit members[j]; spread[l] is its register mask.
@@ -448,21 +472,41 @@ def entanglement_trace(circuit: Circuit) -> list[tuple[int, float]]:
             for q in members:
                 groups[q] = joined
                 spread += [union | 1 << q for union in spread]
-            # amps holds psi_C (x) rest, so amps[spread | other bits of the
-            # top index] is psi_C times rest's largest amplitude.
-            top = int(np.argmax(np.abs(amps)))
-            psi = amps[np.array(spread, dtype=np.intp) | (top & ~joined)]
-            psi /= np.linalg.norm(psi)
             la, lb = members.index(a), members.index(b)
-            local = _cut_negativities(psi, len(members), (la, lb), stabilizer=not joined & tainted)
             full = len(spread) - 1
-            # v_S by S = R & C, for the sides that separate a from b.
-            part = {spread[l]: local[(l if l & 1 else full ^ l) >> 1]
-                    for l in range(len(spread)) if (l >> la ^ l >> lb) & 1}
-            for cut in range(1, register, 2):
-                if (cut >> a ^ cut >> b) & 1:
-                    value, rest = part[cut & joined], cut & ~joined
-                    kept = values[(rest if rest & 1 else register ^ rest) >> 1] if rest else 0.0
-                    values[cut >> 1] = value if kept == 0.0 else ((2.0 * value + 1.0) * (2.0 * kept + 1.0) - 1.0) / 2.0
+            # C's own cuts that separate a from b, as local masks holding local bit 0.
+            sides = [l for l in range(1, full, 2) if (l >> la ^ l >> lb) & 1]
+            if joined & tainted:
+                # amps holds psi_C (x) rest, so amps[spread | other bits of the
+                # top index] is psi_C times rest's largest amplitude.
+                top = int(np.argmax(np.abs(amps)))
+                psi = amps[np.array(spread, dtype=np.intp) | (top & ~joined)]
+                psi /= np.linalg.norm(psi)
+                local = _cut_negativities(psi, len(members), (la, lb))
+                local = [local[l >> 1] for l in sides]
+            else:
+                local = _tableau_negativities(xs, zs, members, sides)
+            # A register cut R that separates a from b is S | T: S = R & C one
+            # of C's sides, T = R - C any part of the rest, and R holds qubit 0
+            # through S when C holds it, through T otherwise.
+            outside = register & ~joined
+            lowest = outside & 1
+            parts = [(spread[l], value, 2.0 * value + 1.0) for l, value in zip(sides, local)]
+            if lowest:
+                parts += [(spread[full ^ l], value, grown) for l, (_side, value, grown) in zip(sides, parts)]
+            free, sub = outside ^ lowest, 0
+            while True:
+                rest = sub | lowest
+                kept = values[(rest if lowest else register ^ rest) >> 1] if rest else 0.0
+                if kept == 0.0:
+                    for side, value, _grown in parts:
+                        values[(side | rest) >> 1] = value
+                else:
+                    scale = 2.0 * kept + 1.0
+                    for side, _value, grown in parts:
+                        values[(side | rest) >> 1] = (grown * scale - 1.0) / 2.0
+                sub = (sub - free) & free  # the next part of the rest, 0 after the last
+                if not sub:
+                    break
         trace.append((step, _total_negativity(amps, n, known=values)))
     return trace

@@ -161,6 +161,14 @@ def _cnot_order(control: int, target: int, n: int) -> np.ndarray:
     return order
 
 
+@lru_cache(maxsize=MAX_QUBITS * (MAX_QUBITS + 1) // 2)
+def _flip(q: int, n: int) -> np.ndarray:
+    """Read-only index vector k ^ 2^q on n qubits, one per (q, n) for every single-qubit kind."""
+    flip = np.arange(1 << n, dtype=np.intp) ^ (1 << q)
+    flip.flags.writeable = False
+    return flip
+
+
 @lru_cache(maxsize=SINGLE_QUBIT_PLAN_CACHE_SIZE)
 def _single_qubit_plan(kind: str, q: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only vectors (stay, swap, flip) for gate u = GATE_MATRICES[kind] on
@@ -168,17 +176,17 @@ def _single_qubit_plan(kind: str, q: int, n: int) -> tuple[np.ndarray, np.ndarra
     u[b, 1-b] and flip[k] = k ^ 2^q.
 
     The cache holds every placement there is, so nothing is evicted.  A plan
-    takes 40 bytes per amplitude (two complex vectors and one intp vector), so
-    all 6 * 78 = 468 plans take 6 * 40 * sum(n * 2^n for n = 1..12) bytes =
-    21.6 MB; a GA run touches only its own n's placements.
+    takes 32 bytes per amplitude for its two complex vectors, and the six
+    kinds share one intp flip vector per (q, n) (_flip), 8 bytes per
+    amplitude, so all 6 * 78 = 468 plans take (6 * 32 + 8) * sum(n * 2^n for
+    n = 1..12) bytes = 18.0 MB; a GA run touches only its own n's placements.
     """
     u = GATE_MATRICES[kind]
-    index = np.arange(1 << n, dtype=np.intp)
-    bit = (index >> q) & 1
+    flip = _flip(q, n)
+    bit = (np.arange(1 << n, dtype=np.intp) >> q) & 1
     stay = np.array([u[0, 0], u[1, 1]])[bit]
     swap = np.array([u[0, 1], u[1, 0]])[bit]
-    flip = index ^ (1 << q)
-    for vector in (stay, swap, flip):
+    for vector in (stay, swap):
         vector.flags.writeable = False
     return stay, swap, flip
 

@@ -112,6 +112,38 @@ def _gf2_rank(rows) -> int:
     return len(pivots)
 
 
+def _tableau_step(xs: list[int], zs: list[int], gate) -> None:
+    """Apply one Clifford gate to the rows of a phase-free tableau, in place."""
+    for i in range(len(xs)):
+        x, z = xs[i], zs[i]
+        if gate.kind == "H":
+            (q,) = gate.args
+            flipped = ((x >> q) ^ (z >> q)) & 1
+            x, z = x ^ flipped << q, z ^ flipped << q
+        elif gate.kind == "S":
+            (q,) = gate.args
+            z ^= x & (1 << q)
+        elif gate.kind == "CNOT":
+            c, t = gate.args
+            x ^= ((x >> c) & 1) << t
+            z ^= ((z >> t) & 1) << c
+        elif gate.kind == "CZ":
+            a, b = gate.args
+            z ^= ((x >> b) & 1) << a
+            z ^= ((x >> a) & 1) << b
+        elif gate.kind == "T":
+            raise ValueError("a T gate leaves the stabilizer states")
+        xs[i], zs[i] = x, z
+
+
+def tableau_rows(circuit: Circuit) -> tuple[list[int], list[int]]:
+    """The x and z rows, as n-bit ints, of a phase-free tableau of a T-free circuit's output."""
+    xs, zs = [0] * circuit.n, [1 << i for i in range(circuit.n)]
+    for gate in circuit.gates:
+        _tableau_step(xs, zs, gate)
+    return xs, zs
+
+
 def tableau_trace(circuit: Circuit) -> list[tuple[int, float]]:
     """Total negativity after each prefix of a T-free circuit, exactly, from a
     binary stabilizer tableau without phases.
@@ -136,25 +168,6 @@ def tableau_trace(circuit: Circuit) -> list[tuple[int, float]]:
 
     trace = [(0, total())]
     for step, gate in enumerate(circuit.gates, 1):
-        for i in range(n):
-            x, z = xs[i], zs[i]
-            if gate.kind == "H":
-                (q,) = gate.args
-                flipped = ((x >> q) ^ (z >> q)) & 1
-                x, z = x ^ flipped << q, z ^ flipped << q
-            elif gate.kind == "S":
-                (q,) = gate.args
-                z ^= x & (1 << q)
-            elif gate.kind == "CNOT":
-                c, t = gate.args
-                x ^= ((x >> c) & 1) << t
-                z ^= ((z >> t) & 1) << c
-            elif gate.kind == "CZ":
-                a, b = gate.args
-                z ^= ((x >> b) & 1) << a
-                z ^= ((x >> a) & 1) << b
-            elif gate.kind == "T":
-                raise ValueError("a T gate leaves the stabilizer states")
-            xs[i], zs[i] = x, z
+        _tableau_step(xs, zs, gate)
         trace.append((step, total()))
     return trace

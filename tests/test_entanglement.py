@@ -12,9 +12,10 @@ from entangler.entanglement import (
     Cut,
     _cut_layouts,
     _cut_negativities,
+    _gf2_ranks,
     _singular_values,
     _stack_negativities,
-    _stack_stabilizer_negativities,
+    _tableau_negativities,
     _total_negativity,
     cut_negativity,
     entanglement_trace,
@@ -37,7 +38,7 @@ from entangler.qsim import (
     zero_state,
 )
 
-from oracles import char_poly_eigenvalues, partial_transpose_dense, random_state, tableau_trace
+from oracles import _gf2_rank, char_poly_eigenvalues, partial_transpose_dense, random_state, tableau_rows, tableau_trace
 
 
 CLIFFORD_KINDS = tuple(kind for kind in GATE_KINDS if kind not in NON_CLIFFORD_KINDS)
@@ -322,13 +323,6 @@ def test_a_nan_stack_raises_instead_of_scoring_zero():
         _stack_negativities(inf_amps, _cut_layouts(4)[1][2])
 
 
-@pytest.mark.parametrize("value", [np.nan, 0.0, np.inf], ids=["nan", "zero", "inf"])
-def test_stabilizer_scores_refuse_a_purity_that_is_not_finite_and_positive(value):
-    # No SVD runs on this path, so no SVD error may be raised either.
-    with pytest.raises(RuntimeError, match="is not finite and positive"):
-        _cut_negativities(np.full(16, value + 0j), 4, stabilizer=True)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_total_negativity_refuses_nan_and_infinite_amplitudes(bad):
     amps = random_state(4, np.random.default_rng(4)).amplitudes.copy()
@@ -384,10 +378,16 @@ def test_schmidt_and_eigen_paths_agree(seed, n):
     ("H", (0,)), ("H", (1,)), ("H", (2,)), ("CZ", (0, 1)), ("CZ", (1, 2)), ("S", (1,))))))
 @settings(max_examples=40)
 def test_stabilizer_scores_are_exact_and_match_the_svd(circuit):
-    amps = run_circuit(circuit, zero_state(circuit.n)).amplitudes
-    for _m, _masks, gathers in _cut_layouts(circuit.n):
-        exact = _stack_stabilizer_negativities(amps, gathers)
-        dense = _stack_negativities(amps, gathers)
+    # The oracle's tableau rows, turned into the trace's columns (bit r of
+    # xs[q] is row r's x bit on qubit q), ranked over the whole register.
+    n = circuit.n
+    amps = run_circuit(circuit, zero_state(n)).amplitudes
+    rows = tableau_rows(circuit)
+    xs, zs = ([sum((row >> q & 1) << r for r, row in enumerate(part)) for q in range(n)] for part in rows)
+    for _m, masks, gathers in _cut_layouts(n):
+        exact = _tableau_negativities(xs, zs, list(range(n)), list(masks))
+        with np.errstate(**_SVD_ERRSTATE):
+            dense = _stack_negativities(amps, gathers)
         assert len(exact) == len(dense)
         for value, svd_value in zip(exact, dense):
             assert abs(value - svd_value) <= 1e-12
@@ -395,22 +395,60 @@ def test_stabilizer_scores_are_exact_and_match_the_svd(circuit):
             assert value == (2**k - 1) / 2
 
 
+@st.composite
+def _word_stacks(draw):
+    """(words, full): int64 words below 2^24 with up to two batch axes, some
+    stacks with zero rows, and full=True for stacks built to be of full rank."""
+    bits = draw(st.integers(1, 24))
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2))) + (draw(st.integers(0, 14)),)
+    rows, size = shape[-1], int(np.prod(shape))
+    kind = draw(st.sampled_from(["random", "zero rows", "full rank"]))
+    if kind == "full rank" and 0 < rows <= bits:
+        # Distinct unit rows, then row additions, which keep the rank.
+        pivots = draw(st.permutations(range(bits)))[:rows]
+        words = np.broadcast_to(np.array([1 << p for p in pivots], dtype=np.int64), shape).copy()
+        for i, j in draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1)), max_size=30)):
+            if i != j:
+                words[..., j] ^= words[..., i]
+        return words, True
+    words = np.array(draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=size, max_size=size)),
+                     dtype=np.int64).reshape(shape)
+    if kind == "zero rows" and rows:
+        words[..., sorted(draw(st.sets(st.integers(0, rows - 1), min_size=1)))] = 0
+    return words, False
+
+
+@given(stack=_word_stacks())
+@example(stack=(np.zeros((2, 5), dtype=np.int64), False))
+@example(stack=(np.array([[1 << i for i in range(24)]], dtype=np.int64)[:, ::-1], True))
+@example(stack=(np.array([(1 << 24) - 1, (1 << 23) | 1, 3, 3, 0], dtype=np.int64), False))
+@example(stack=(np.zeros((3, 0), dtype=np.int64), True))
+@settings(max_examples=200)
+def test_gf2_ranks_equal_the_oracle_rank(stack):
+    words, full = stack
+    before = words.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ranks = _gf2_ranks(words)
+    assert ranks.shape == words.shape[:-1]
+    assert np.array_equal(words, before)
+    for index in np.ndindex(words.shape[:-1]):
+        assert ranks[index] == _gf2_rank(words[index].tolist())
+        if full:
+            assert ranks[index] == words.shape[-1]
+
+
 @given(circuit=_circuits(CLIFFORD_KINDS))
+@example(circuit=named_circuit("circuit_ghz12"))
+# H on every qubit and a CZ ring make a 12-qubit ring graph state; three CNOTs then change it.
+@example(circuit=Circuit(12, tuple(GateSpec("H", (q,)) for q in range(12)) + tuple(
+    GateSpec("CZ", (q, (q + 1) % 12)) for q in range(12)) + tuple(
+    GateSpec("CNOT", args) for args in ((0, 6), (3, 9), (11, 5)))))
 @settings(max_examples=60)
 def test_clifford_traces_equal_the_binary_tableau_exactly(circuit):
     # The GF(2) rank of each cut's tableau columns gives every entry's exact
     # half-integer sum, with no floating point on the oracle's side.
     assert entanglement_trace(circuit) == tableau_trace(circuit)
-
-
-def test_stabilizer_scores_refuse_a_spectrum_that_is_not_flat():
-    # T right after H only sets a phase: the Schmidt spectrum is still flat.
-    flat = run_circuit(parse_circuit("H(0); T(0); CNOT(0,1)"), zero_state(2)).amplitudes
-    assert _stack_stabilizer_negativities(flat, _cut_layouts(2)[0][2]) == [0.5]
-    # A second H turns that phase into unequal Schmidt coefficients, cos^2 and sin^2 of pi/8.
-    skewed = run_circuit(parse_circuit("H(0); T(0); H(0); CNOT(0,1)"), zero_state(2)).amplitudes
-    with pytest.raises(RuntimeError, match="not a stabilizer state"):
-        _stack_stabilizer_negativities(skewed, _cut_layouts(2)[0][2])
 
 
 # --- totals and bounds -----------------------------------------------------------
@@ -612,14 +650,19 @@ def _register_join_step(circuit: Circuit) -> int:
     return len(circuit) + 1
 
 
-_SCORERS = ("_stack_negativities", "_stack_stabilizer_negativities")
+# Each scorer's stack, as (qubits of the scored component, cuts in the stack).
+_SCORERS = {
+    "_stack_negativities": lambda amps, gathers: (amps.size.bit_length() - 1, gathers.shape[0]),
+    "_gf2_ranks": lambda words: (words.shape[-1], words.shape[0]),
+}
 
 
 def _spied_trace(patch, circuit: Circuit):
-    """entanglement_trace(circuit) and, per scored stack, (gates applied, state size, gathers shape, scorer).
+    """entanglement_trace(circuit) and, per scored stack, (gates applied, component qubits, cuts, scorer).
 
-    Both scorers are spied on: the SVD one and the exact one that T-free
-    components take.
+    Both scorers are spied on: the SVD one and the rank routine that T-free
+    components take, whose stack holds one row per generator of the
+    component, one per qubit.
     """
     applied, stacks = [0], []
     apply_gate_inplace = entanglement_module._apply_gate_inplace
@@ -631,9 +674,9 @@ def _spied_trace(patch, circuit: Circuit):
     def spied(scorer):
         score = getattr(entanglement_module, scorer)
 
-        def recorded_stack(amps, gathers):
-            stacks.append((applied[0], amps.size, gathers.shape, scorer))
-            return score(amps, gathers)
+        def recorded_stack(*stack):
+            stacks.append((applied[0], *_SCORERS[scorer](*stack), scorer))
+            return score(*stack)
         return recorded_stack
 
     patch.setattr(entanglement_module, "_apply_gate_inplace", counted_apply)
@@ -657,7 +700,7 @@ def test_trace_scores_separate_components_on_their_own_states(circuit):
     n, gates = circuit.n, circuit.gates
     with pytest.MonkeyPatch.context() as patch:
         steps, stacks = _spied_trace(patch, circuit)
-    whole = [applied for applied, size, _shape, _scorer in stacks if size == 1 << n]
+    whole = [applied for applied, qubits, _cuts, _scorer in stacks if qubits == n]
     # No cut is scored on the whole state while the register is still split.
     assert min(whole, default=len(gates) + 1) >= _register_join_step(circuit)
     for k, (_, value) in enumerate(steps):
@@ -676,16 +719,16 @@ def _t_topped_ghz_circuit(n: int) -> Circuit:
 def _whole_register_steps(monkeypatch, circuit: Circuit):
     """The trace, the steps that scored a stack on the whole register, and the scorers used."""
     steps, stacks = _spied_trace(monkeypatch, circuit)
-    whole = [applied for applied, _size, shape, _scorer in stacks if shape[1] * shape[2] == 1 << circuit.n]
+    whole = [applied for applied, qubits, _cuts, _scorer in stacks if qubits == circuit.n]
     return steps, whole, {scorer for *_, scorer in stacks}
 
 
 def _cuts_scored_per_step(monkeypatch, circuit: Circuit):
-    """Per step, the number of cuts scored on each state size, and the scorers used."""
+    """Per step, the number of cuts scored on each component size, and the scorers used."""
     scored, stacks = {}, _spied_trace(monkeypatch, circuit)[1]
-    for applied, size, shape, _scorer in stacks:
+    for applied, qubits, cuts, _scorer in stacks:
         by_size = scored.setdefault(applied, {})
-        by_size[size] = by_size.get(size, 0) + shape[0]
+        by_size[qubits] = by_size.get(qubits, 0) + cuts
     return scored, {scorer for *_, scorer in stacks}
 
 
@@ -695,7 +738,7 @@ def test_ghz_trace_scores_the_whole_register_only_at_its_last_cnot(monkeypatch):
     steps, whole, scorers = _whole_register_steps(monkeypatch, circuit)
     assert whole and set(whole) == {len(circuit)}
     assert abs(steps[-1][1] - ((1 << (n - 1)) - 1) / 2) < 1e-12
-    assert scorers == {"_stack_stabilizer_negativities"}
+    assert scorers == {"_gf2_ranks"}
 
 
 def test_t_topped_ghz_trace_scores_the_whole_register_only_at_its_last_cnot(monkeypatch):
@@ -710,12 +753,12 @@ def test_t_topped_ghz_trace_scores_the_whole_register_only_at_its_last_cnot(monk
 def test_ghz_trace_scores_only_the_component_cuts_a_cnot_changes(monkeypatch):
     # Gate k of ghz_circuit(8) is the CNOT that grows the one component to k
     # qubits: of its 2^(k-1) - 1 cuts, only the 2^(k-2) that separate the
-    # CNOT's qubits are scored, merge or not.
+    # CNOT's qubits are ranked, merge or not.
     n = 8
     scored, scorers = _cuts_scored_per_step(monkeypatch, ghz_circuit(n))
     for k in range(2, n):
-        assert scored[k] == {1 << k: 1 << (k - 2)}, k
-    assert scorers == {"_stack_stabilizer_negativities"}
+        assert scored[k] == {k: 1 << (k - 2)}, k
+    assert scorers == {"_gf2_ranks"}
 
 
 def test_t_topped_ghz_trace_scores_only_the_component_cuts_a_cnot_changes(monkeypatch):
@@ -724,5 +767,5 @@ def test_t_topped_ghz_trace_scores_only_the_component_cuts_a_cnot_changes(monkey
     scored, scorers = _cuts_scored_per_step(monkeypatch, _t_topped_ghz_circuit(n))
     assert 2 not in scored
     for k in range(2, n):
-        assert scored[k + 1] == {1 << k: 1 << (k - 2)}, k
+        assert scored[k + 1] == {k: 1 << (k - 2)}, k
     assert scorers == {"_stack_negativities"}
